@@ -9,9 +9,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "cluster/wlm.h"
 #include "common/random.h"
 #include "common/units.h"
+#include "sim/workload_manager.h"
 
 namespace {
 
@@ -24,10 +24,10 @@ struct RunStats {
 
 RunStats RunMix(int slots, uint64_t seed) {
   sdw::sim::Engine engine;
-  sdw::cluster::WlmConfig config;
-  config.concurrency_slots = slots;
+  sdw::sim::WorkloadManager::Config config;
+  config.slots = slots;
   config.per_slot_memory_penalty = 0.04;
-  sdw::cluster::WorkloadManager wlm(&engine, config);
+  sdw::sim::WorkloadManager wlm(&engine, config);
   sdw::Rng rng(seed);
   // A BI mix: many 1-3s dashboard queries + a few 30-90s heavies,
   // Poisson arrivals over a 10-minute burst.

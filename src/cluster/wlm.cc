@@ -27,7 +27,6 @@ WlmConfig SanitizeWlmConfig(WlmConfig config) {
                      << " is not serviceable; clamping to 1";
     config.concurrency_slots = 1;
   }
-  if (config.max_report_history < 1) config.max_report_history = 1;
   int share_sum = 0;
   bool has_default = false;
   for (WlmQueueConfig& queue : config.queues) {
@@ -293,18 +292,6 @@ void AdmissionController::Release(uint64_t ticket) {
   slot_free_.NotifyAll();
 }
 
-void AdmissionController::Record(Report report) {
-  common::MutexLock lock(mu_);
-  report.seq = next_seq_++;
-  reports_.push_back(std::move(report));
-  while (reports_.size() > config_.max_report_history) reports_.pop_front();
-}
-
-std::vector<AdmissionController::Report> AdmissionController::reports() const {
-  common::MutexLock lock(mu_);
-  return {reports_.begin(), reports_.end()};
-}
-
 int AdmissionController::running() const {
   common::MutexLock lock(mu_);
   return running_;
@@ -360,44 +347,6 @@ std::vector<AdmissionController::QueueStats> AdmissionController::queue_stats()
     stats.push_back(std::move(entry));
   }
   return stats;
-}
-
-WorkloadManager::WorkloadManager(sim::Engine* engine, WlmConfig config)
-    : engine_(engine), config_(SanitizeWlmConfig(std::move(config))) {}
-
-void WorkloadManager::Submit(double service_seconds,
-                             std::function<void(const QueryReport&)> done) {
-  queue_.push_back({service_seconds, engine_->Now(), std::move(done)});
-  Admit();
-}
-
-void WorkloadManager::Admit() {
-  while (running_ < config_.concurrency_slots && !queue_.empty()) {
-    Pending next = std::move(queue_.front());
-    queue_.erase(queue_.begin());
-    ++running_;
-    // Smaller per-slot memory share slows each query down.
-    const double effective =
-        next.service_seconds *
-        (1.0 + config_.per_slot_memory_penalty *
-                   (config_.concurrency_slots - 1));
-    const double start = engine_->Now();
-    engine_->Schedule(effective, [this, next = std::move(next), start,
-                                  effective] {
-      QueryReport report;
-      report.submitted_at = next.submitted_at;
-      report.queued_seconds = start - next.submitted_at;
-      report.exec_seconds = effective;
-      report.finished_at = engine_->Now();
-      reports_.push_back(report);
-      while (reports_.size() > config_.max_report_history) {
-        reports_.pop_front();
-      }
-      if (next.done) next.done(report);
-      --running_;
-      Admit();
-    });
-  }
 }
 
 }  // namespace sdw::cluster

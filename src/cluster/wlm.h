@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -11,7 +10,7 @@
 
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "sim/engine.h"
+#include "obs/record_log.h"
 #include "sim/stopwatch.h"
 
 namespace sdw::cluster {
@@ -45,17 +44,10 @@ struct WlmConfig {
   /// Queries executing concurrently across all named queues; the rest
   /// queue FIFO per queue.
   int concurrency_slots = 5;
-  /// Memory divides evenly across slots, so more slots slow each query
-  /// down: effective service time = base * (1 + penalty * (slots - 1)).
-  /// This models the spill/partition cost of smaller per-slot memory.
-  double per_slot_memory_penalty = 0.04;
   /// Real seconds a statement may wait in one queue before it hops (if
   /// the queue names a hop target) or is cancelled with
   /// DeadlineExceeded; <= 0 waits forever.
   double queue_timeout_seconds = 60.0;
-  /// Completed-statement reports kept (ring buffer — stl_wlm must not
-  /// grow without bound across long runs).
-  size_t max_report_history = 1024;
   /// Named queues sharing concurrency_slots. Empty keeps the classic
   /// single "default" queue owning every slot. SanitizeWlmConfig
   /// guarantees a catch-all "default" queue exists and that the
@@ -158,11 +150,15 @@ class AdmissionController {
   /// Classic front door: default request (default queue, no SQA).
   Result<Slot> Admit() SDW_EXCLUDES(mu_);
 
+  /// Completed-statement reports stl_wlm keeps; the oldest fall off so
+  /// the history stays bounded across long runs.
+  static constexpr size_t kReportHistory = 1024;
+
   /// One row of stl_wlm. `state` is "run" (executed), "error"
   /// (admitted but failed), "timeout" (cancelled in the queue) or
   /// "result_cache" (served from the result cache, no slot occupied).
   struct Report {
-    uint64_t seq = 0;  // assigned by Record, monotonically increasing
+    uint64_t seq = 0;  // assigned by Record: 0, 1, 2, ...
     int session_id = 0;
     std::string state;
     /// Queue the statement was finally admitted from ("sqa" for the
@@ -184,11 +180,12 @@ class AdmissionController {
                      Report* timeout_report = nullptr) SDW_EXCLUDES(mu_);
 
   /// Appends a completed-statement report to the ring buffer (assigns
-  /// `seq`; the oldest rows fall off past max_report_history).
-  void Record(Report report) SDW_EXCLUDES(mu_);
+  /// `seq`; the oldest rows fall off past kReportHistory). The ring has
+  /// its own lock, so an stl_wlm read never blocks Admit/Release.
+  void Record(Report report) { reports_.Append(std::move(report)); }
 
   /// Snapshot of the report ring, oldest first.
-  std::vector<Report> reports() const SDW_EXCLUDES(mu_);
+  std::vector<Report> reports() const { return reports_.Snapshot(); }
 
   /// Statements currently holding a slot / waiting, over all queues.
   int running() const SDW_EXCLUDES(mu_);
@@ -261,51 +258,8 @@ class AdmissionController {
   uint64_t timeouts_ SDW_GUARDED_BY(mu_) = 0;
   uint64_t hops_ SDW_GUARDED_BY(mu_) = 0;
   uint64_t sqa_demotions_ SDW_GUARDED_BY(mu_) = 0;
-  uint64_t next_seq_ SDW_GUARDED_BY(mu_) = 0;
-  std::deque<Report> reports_ SDW_GUARDED_BY(mu_);
-};
-
-/// Admission control for concurrent queries, simulated on the
-/// discrete-event engine. Used by tests and the WLM ablation bench to
-/// show the throughput/latency tradeoff behind the default.
-class WorkloadManager {
- public:
-  WorkloadManager(sim::Engine* engine, WlmConfig config);
-
-  struct QueryReport {
-    double submitted_at = 0;
-    double queued_seconds = 0;
-    double exec_seconds = 0;
-    double finished_at = 0;
-  };
-
-  /// Submits a query whose un-contended execution takes `service_seconds`.
-  /// `done` fires (on the sim clock) when it completes.
-  void Submit(double service_seconds,
-              std::function<void(const QueryReport&)> done = nullptr);
-
-  /// Queries currently executing / waiting.
-  int running() const { return running_; }
-  size_t queued() const { return queue_.size(); }
-
-  /// The most recent completed-query reports, in completion order
-  /// (bounded by WlmConfig::max_report_history).
-  const std::deque<QueryReport>& reports() const { return reports_; }
-
- private:
-  void Admit();
-
-  struct Pending {
-    double service_seconds = 0;
-    double submitted_at = 0;
-    std::function<void(const QueryReport&)> done;
-  };
-
-  sim::Engine* engine_;
-  WlmConfig config_;
-  int running_ = 0;
-  std::vector<Pending> queue_;
-  std::deque<QueryReport> reports_;
+  obs::RecordLog<Report, &Report::seq> reports_{kReportHistory,
+                                                /*first_id=*/0};
 };
 
 }  // namespace sdw::cluster

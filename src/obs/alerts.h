@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "obs/profiler.h"
+#include "obs/record_log.h"
 
 namespace sdw::obs {
 
@@ -26,18 +26,8 @@ struct AlertEvent {
   std::string action;
 };
 
-/// Append-only alert history. Thread-safe.
-class AlertLog {
- public:
-  void Record(std::vector<AlertEvent> events) SDW_EXCLUDES(mu_);
-  std::vector<AlertEvent> Snapshot() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  mutable common::Mutex mu_{common::LockRank::kAlertLog};
-  int next_alert_id_ SDW_GUARDED_BY(mu_) = 1;
-  std::vector<AlertEvent> events_ SDW_GUARDED_BY(mu_);
-};
+/// Append-only alert history; a query's alerts append as one batch.
+using AlertLog = RecordLog<AlertEvent, &AlertEvent::alert_id>;
 
 /// Everything the per-query rules look at, gathered at query finish.
 /// Only deterministic inputs (scan telemetry, virtual ticks) decide

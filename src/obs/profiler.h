@@ -3,13 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/record_log.h"
 
 namespace sdw::obs {
 
@@ -38,35 +37,9 @@ struct ScanRecord {
   uint64_t bytes_decoded = 0;  // encoded bytes of the blocks read
 };
 
-/// Per-table aggregate of the scan history — the in-memory "block heat"
-/// summary the reclustering roadmap item mines.
-struct TableHeat {
-  uint64_t scans = 0;
-  uint64_t rows_scanned = 0;
-  uint64_t rows_out = 0;
-  uint64_t blocks_read = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t bytes_decoded = 0;
-};
-
-/// Append-only scan history plus the per-table heat map. Thread-safe:
-/// queries finishing on concurrent sessions append batches atomically.
-class ScanLog {
- public:
-  /// Appends the records in order, assigning contiguous scan_ids and
-  /// folding each into its table's heat entry.
-  void Append(std::vector<ScanRecord> records) SDW_EXCLUDES(mu_);
-
-  std::vector<ScanRecord> Snapshot() const SDW_EXCLUDES(mu_);
-  std::map<std::string, TableHeat> Heat() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  mutable common::Mutex mu_{common::LockRank::kScanLog};
-  int next_scan_id_ SDW_GUARDED_BY(mu_) = 1;
-  std::vector<ScanRecord> records_ SDW_GUARDED_BY(mu_);
-  std::map<std::string, TableHeat> heat_ SDW_GUARDED_BY(mu_);
-};
+/// Append-only scan history. Queries finishing on concurrent sessions
+/// append their scans as one batch with contiguous scan_ids.
+using ScanLog = RecordLog<ScanRecord, &ScanRecord::scan_id>;
 
 // ---------------------------------------------------------------------------
 // stv_inflight: live in-flight query state.
@@ -213,22 +186,11 @@ struct GaugeSample {
   std::vector<QueueGauge> queues;
 };
 
-/// Fixed-capacity ring of gauge samples; the oldest sample falls off
-/// once the ring is full. Thread-safe.
-class GaugeHistory {
- public:
-  explicit GaugeHistory(size_t capacity = 256) : capacity_(capacity) {}
+/// Samples stv_gauge_history keeps; the oldest falls off once full.
+inline constexpr size_t kGaugeHistoryCapacity = 256;
 
-  void Record(GaugeSample sample) SDW_EXCLUDES(mu_);
-  std::vector<GaugeSample> Snapshot() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  const size_t capacity_;
-  mutable common::Mutex mu_{common::LockRank::kGaugeHistory};
-  int next_seq_ SDW_GUARDED_BY(mu_) = 1;
-  std::deque<GaugeSample> ring_ SDW_GUARDED_BY(mu_);
-};
+/// Fixed-capacity ring of gauge samples, numbered by `seq`.
+using GaugeHistory = RecordLog<GaugeSample, &GaugeSample::seq>;
 
 }  // namespace sdw::obs
 

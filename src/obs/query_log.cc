@@ -1,5 +1,7 @@
 #include "obs/query_log.h"
 
+#include <algorithm>
+
 namespace sdw::obs {
 
 QueryLog::Started QueryLog::StartQuery() {
@@ -8,60 +10,26 @@ QueryLog::Started QueryLog::StartQuery() {
 }
 
 uint64_t QueryLog::FinishQuery(QueryRecord record) {
-  common::MutexLock lock(mu_);
   if (record.trace) {
     record.trace->AssignVirtualTimes(record.start_tick);
     record.end_tick = record.trace->end_tick();
   } else {
     record.end_tick = record.start_tick + 1;
   }
-  clock_ = std::max(clock_, record.end_tick);
-  uint64_t end_tick = record.end_tick;
-  records_.push_back(std::move(record));
+  const uint64_t end_tick = record.end_tick;
+  {
+    common::MutexLock lock(mu_);
+    clock_ = std::max(clock_, end_tick);
+  }
+  // Appended after the clock lock is released: both locks share the
+  // kObsLog rank, which may not nest.
+  records_.Append(std::move(record));
   return end_tick;
-}
-
-std::vector<QueryRecord> QueryLog::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return records_;
 }
 
 uint64_t QueryLog::now() const {
   common::MutexLock lock(mu_);
   return clock_;
-}
-
-void QueryLog::Clear() {
-  common::MutexLock lock(mu_);
-  records_.clear();
-  next_query_id_ = 1;
-  clock_ = 0;
-}
-
-void EventLog::Record(const std::string& source, const std::string& kind,
-                      int node, double value, const std::string& detail) {
-  common::MutexLock lock(mu_);
-  HealthEvent e;
-  e.event_id = next_event_id_++;
-  e.tick = tick_++;
-  e.source = source;
-  e.kind = kind;
-  e.node = node;
-  e.value = value;
-  e.detail = detail;
-  events_.push_back(std::move(e));
-}
-
-std::vector<HealthEvent> EventLog::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return events_;
-}
-
-void EventLog::Clear() {
-  common::MutexLock lock(mu_);
-  events_.clear();
-  next_event_id_ = 1;
-  tick_ = 0;
 }
 
 }  // namespace sdw::obs

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/record_log.h"
 #include "obs/trace.h"
 
 namespace sdw::obs {
@@ -38,7 +39,9 @@ struct QueryRecord {
 
 /// Per-warehouse history of executed queries plus the warehouse's
 /// virtual clock. Thread-safe: a warehouse may serve concurrent
-/// Execute() calls.
+/// Execute() calls. The records live in a RecordLog; this class owns
+/// only what is particular to stl_query — the clock, query-id
+/// reservation at start, and trace virtual-time assignment at finish.
 class QueryLog {
  public:
   /// Reserves a query id and the query's start tick.
@@ -54,21 +57,20 @@ class QueryLog {
   /// follow-on records like alerts with it).
   uint64_t FinishQuery(QueryRecord record) SDW_EXCLUDES(mu_);
 
-  std::vector<QueryRecord> Snapshot() const SDW_EXCLUDES(mu_);
+  std::vector<QueryRecord> Snapshot() const { return records_.Snapshot(); }
   uint64_t now() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
 
  private:
-  mutable common::Mutex mu_{common::LockRank::kQueryLog};
+  mutable common::Mutex mu_{common::LockRank::kObsLog};
   int next_query_id_ SDW_GUARDED_BY(mu_) = 1;
   uint64_t clock_ SDW_GUARDED_BY(mu_) = 0;
-  std::vector<QueryRecord> records_ SDW_GUARDED_BY(mu_);
+  RecordLog<QueryRecord> records_;
 };
 
 /// One health/control-plane event as recorded in stl_health_events.
+/// The event's tick is its position in the history (`event_id - 1`).
 struct HealthEvent {
   int event_id = 0;
-  uint64_t tick = 0;
   std::string source;  // "host_manager" | "control_plane" | "sweep"
   std::string kind;    // "restart" | "replace" | "rereplicate" | ...
   int node = -1;
@@ -77,20 +79,8 @@ struct HealthEvent {
 };
 
 /// Append-only event history, shared by the warehouse's health sweep
-/// and the control plane. Thread-safe.
-class EventLog {
- public:
-  void Record(const std::string& source, const std::string& kind, int node,
-              double value, const std::string& detail) SDW_EXCLUDES(mu_);
-  std::vector<HealthEvent> Snapshot() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  mutable common::Mutex mu_{common::LockRank::kEventLog};
-  int next_event_id_ SDW_GUARDED_BY(mu_) = 1;
-  uint64_t tick_ SDW_GUARDED_BY(mu_) = 0;
-  std::vector<HealthEvent> events_ SDW_GUARDED_BY(mu_);
-};
+/// and the control plane.
+using EventLog = RecordLog<HealthEvent, &HealthEvent::event_id>;
 
 }  // namespace sdw::obs
 

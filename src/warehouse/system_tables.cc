@@ -1,7 +1,6 @@
 #include "warehouse/system_tables.h"
 
 #include <cstdio>
-#include <set>
 
 #include "catalog/catalog.h"
 #include "exec/operators.h"
@@ -22,143 +21,54 @@ ColumnDef DblCol(const std::string& name) {
   return {name, TypeId::kDouble, ColumnEncoding::kRaw, false};
 }
 
-Result<TableSchema> SchemaFor(const std::string& name) {
-  if (name == "stl_query") {
-    // queue_seconds/exec_seconds are measured real time (the WLM split
-    // of the old `elapsed` tick delta, which stays derivable from the
-    // tick columns) — deterministic comparisons must project them out.
-    return TableSchema(name, {IntCol("query_id"), StrCol("sql_text"),
-                              StrCol("status"), IntCol("start_tick"),
-                              IntCol("end_tick"), DblCol("queue_seconds"),
-                              DblCol("exec_seconds"), IntCol("result_rows"),
-                              IntCol("blocks_decoded"),
-                              IntCol("network_bytes"), IntCol("masked_reads"),
-                              IntCol("s3_fault_reads"), StrCol("snapshot")});
-  }
-  if (name == "stl_span") {
-    return TableSchema(name, {IntCol("query_id"), IntCol("span_id"),
-                              IntCol("parent_id"), StrCol("name"),
-                              IntCol("slice"), IntCol("stage"),
-                              IntCol("start_tick"), IntCol("end_tick"),
-                              IntCol("rows_out"), IntCol("blocks_decoded"),
-                              IntCol("bytes_shuffled"), IntCol("masked_reads"),
-                              IntCol("s3_fault_reads")});
-  }
-  if (name == "stv_blocklist") {
-    return TableSchema(name, {StrCol("tbl"), IntCol("node"), IntCol("slice"),
-                              StrCol("col"), IntCol("blk"), IntCol("rows"),
-                              IntCol("bytes"), StrCol("encoding"),
-                              IntCol("version")});
-  }
-  if (name == "stv_metrics") {
-    return TableSchema(name,
-                       {StrCol("name"), StrCol("kind"), DblCol("value")});
-  }
-  if (name == "stl_health_events") {
-    return TableSchema(name, {IntCol("event_id"), IntCol("tick"),
-                              StrCol("source"), StrCol("kind"), IntCol("node"),
-                              DblCol("value"), StrCol("detail")});
-  }
-  if (name == "stl_wlm") {
-    return TableSchema(name, {IntCol("seq"), IntCol("session_id"),
-                              StrCol("state"), StrCol("queue"),
-                              StrCol("statement"),
-                              DblCol("queued_seconds"),
-                              DblCol("exec_seconds"), IntCol("hops")});
-  }
-  if (name == "stv_cache") {
-    return TableSchema(name, {StrCol("cache"), StrCol("fingerprint"),
-                              StrCol("tables"), IntCol("hits"),
-                              IntCol("entry_rows"), IntCol("live")});
-  }
-  if (name == "stl_scan") {
-    return TableSchema(name, {IntCol("scan_id"), IntCol("query_id"),
-                              StrCol("tbl"), StrCol("site"),
-                              StrCol("predicates"), IntCol("rows_scanned"),
-                              IntCol("rows_out"), IntCol("blocks_read"),
-                              IntCol("blocks_skipped"),
-                              IntCol("bytes_decoded")});
-  }
-  if (name == "stv_inflight") {
-    return TableSchema(name, {IntCol("inflight_id"), IntCol("session_id"),
-                              StrCol("statement"), StrCol("phase"),
-                              IntCol("rows_scanned"), IntCol("slices_done"),
-                              IntCol("slices_total"),
-                              DblCol("queued_seconds"),
-                              DblCol("exec_seconds")});
-  }
-  if (name == "stv_gauge_history") {
-    return TableSchema(name, {IntCol("seq"), IntCol("tick"), StrCol("queue"),
-                              IntCol("wlm_queued"), IntCol("wlm_running"),
-                              IntCol("wlm_max_in_flight"),
-                              DblCol("result_cache_hit_rate"),
-                              DblCol("segment_cache_hit_rate"),
-                              IntCol("gc_backlog"),
-                              IntCol("degraded_blocks")});
-  }
-  if (name == "stl_alert_event_log") {
-    return TableSchema(name, {IntCol("alert_id"), IntCol("query_id"),
-                              IntCol("tick"), StrCol("rule"), StrCol("tbl"),
-                              DblCol("evidence"), StrCol("detail"),
-                              StrCol("action")});
-  }
-  return Status::NotFound("unknown system table '" + name + "'");
-}
-
 void AppendTicks(ColumnVector* col, uint64_t v) {
   col->AppendInt(static_cast<int64_t>(v));
 }
 
-exec::Batch BuildStlQuery(const obs::QueryLog& log,
-                          const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const obs::QueryRecord& q : log.Snapshot()) {
-    b.columns[0].AppendInt(q.query_id);
-    b.columns[1].AppendString(q.sql_text);
-    b.columns[2].AppendString(q.status);
-    AppendTicks(&b.columns[3], q.start_tick);
-    AppendTicks(&b.columns[4], q.end_tick);
-    b.columns[5].AppendDouble(q.queue_seconds);
-    b.columns[6].AppendDouble(q.exec_seconds);
-    AppendTicks(&b.columns[7], q.result_rows);
-    AppendTicks(&b.columns[8], q.counters.blocks_decoded);
-    AppendTicks(&b.columns[9], q.counters.bytes_shuffled);
-    AppendTicks(&b.columns[10], q.counters.masked_reads);
-    AppendTicks(&b.columns[11], q.counters.s3_fault_reads);
-    b.columns[12].AppendString(q.snapshot);
+// Each builder appends its table's rows to a batch whose columns
+// ExecuteSystemQuery has already laid out from the table's descriptor.
+
+void BuildStlQuery(const SystemTableSources& sources, exec::Batch* b) {
+  for (const obs::QueryRecord& q : sources.query_log->Snapshot()) {
+    b->columns[0].AppendInt(q.query_id);
+    b->columns[1].AppendString(q.sql_text);
+    b->columns[2].AppendString(q.status);
+    AppendTicks(&b->columns[3], q.start_tick);
+    AppendTicks(&b->columns[4], q.end_tick);
+    b->columns[5].AppendDouble(q.queue_seconds);
+    b->columns[6].AppendDouble(q.exec_seconds);
+    AppendTicks(&b->columns[7], q.result_rows);
+    AppendTicks(&b->columns[8], q.counters.blocks_decoded);
+    AppendTicks(&b->columns[9], q.counters.bytes_shuffled);
+    AppendTicks(&b->columns[10], q.counters.masked_reads);
+    AppendTicks(&b->columns[11], q.counters.s3_fault_reads);
+    b->columns[12].AppendString(q.snapshot);
   }
-  return b;
 }
 
-exec::Batch BuildStlSpan(const obs::QueryLog& log, const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const obs::QueryRecord& q : log.Snapshot()) {
+void BuildStlSpan(const SystemTableSources& sources, exec::Batch* b) {
+  for (const obs::QueryRecord& q : sources.query_log->Snapshot()) {
     if (!q.trace) continue;
     for (const obs::Span& s : q.trace->spans()) {
-      b.columns[0].AppendInt(q.query_id);
-      b.columns[1].AppendInt(s.span_id);
-      b.columns[2].AppendInt(s.parent_id);
-      b.columns[3].AppendString(s.name);
-      b.columns[4].AppendInt(s.slice);
-      b.columns[5].AppendInt(s.stage);
-      AppendTicks(&b.columns[6], s.start_tick);
-      AppendTicks(&b.columns[7], s.end_tick);
-      AppendTicks(&b.columns[8], s.counters.rows_out);
-      AppendTicks(&b.columns[9], s.counters.blocks_decoded);
-      AppendTicks(&b.columns[10], s.counters.bytes_shuffled);
-      AppendTicks(&b.columns[11], s.counters.masked_reads);
-      AppendTicks(&b.columns[12], s.counters.s3_fault_reads);
+      b->columns[0].AppendInt(q.query_id);
+      b->columns[1].AppendInt(s.span_id);
+      b->columns[2].AppendInt(s.parent_id);
+      b->columns[3].AppendString(s.name);
+      b->columns[4].AppendInt(s.slice);
+      b->columns[5].AppendInt(s.stage);
+      AppendTicks(&b->columns[6], s.start_tick);
+      AppendTicks(&b->columns[7], s.end_tick);
+      AppendTicks(&b->columns[8], s.counters.rows_out);
+      AppendTicks(&b->columns[9], s.counters.blocks_decoded);
+      AppendTicks(&b->columns[10], s.counters.bytes_shuffled);
+      AppendTicks(&b->columns[11], s.counters.masked_reads);
+      AppendTicks(&b->columns[12], s.counters.s3_fault_reads);
     }
   }
-  return b;
 }
 
-exec::Batch BuildStvBlocklist(cluster::Cluster* cluster,
-                              const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
+void BuildStvBlocklist(const SystemTableSources& sources, exec::Batch* b) {
+  cluster::Cluster* cluster = sources.cluster;
   // TableNames() is map-ordered and slices are walked in order, so the
   // listing is deterministic. `blk` is the block's position in its
   // column chain, not the global BlockId — chain positions compare
@@ -179,64 +89,54 @@ exec::Batch BuildStvBlocklist(cluster::Cluster* cluster,
       for (size_t c = 0; c < head->chains.size(); ++c) {
         const std::vector<storage::BlockMeta>& chain = head->chains[c];
         for (size_t p = 0; p < chain.size(); ++p) {
-          b.columns[0].AppendString(table);
-          b.columns[1].AppendInt(node);
-          b.columns[2].AppendInt(s);
-          b.columns[3].AppendString(tschema.column(c).name);
-          b.columns[4].AppendInt(static_cast<int64_t>(p));
-          b.columns[5].AppendInt(static_cast<int64_t>(chain[p].row_count));
-          b.columns[6].AppendInt(static_cast<int64_t>(chain[p].encoded_bytes));
-          b.columns[7].AppendString(ColumnEncodingName(chain[p].encoding));
-          b.columns[8].AppendInt(static_cast<int64_t>(head->version));
+          b->columns[0].AppendString(table);
+          b->columns[1].AppendInt(node);
+          b->columns[2].AppendInt(s);
+          b->columns[3].AppendString(tschema.column(c).name);
+          b->columns[4].AppendInt(static_cast<int64_t>(p));
+          b->columns[5].AppendInt(static_cast<int64_t>(chain[p].row_count));
+          b->columns[6].AppendInt(
+              static_cast<int64_t>(chain[p].encoded_bytes));
+          b->columns[7].AppendString(ColumnEncodingName(chain[p].encoding));
+          b->columns[8].AppendInt(static_cast<int64_t>(head->version));
         }
       }
     }
   }
-  return b;
 }
 
-exec::Batch BuildStvMetrics(const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
+void BuildStvMetrics(const SystemTableSources&, exec::Batch* b) {
   for (const obs::MetricRow& m : obs::Registry::Global().Snapshot()) {
-    b.columns[0].AppendString(m.name);
-    b.columns[1].AppendString(m.kind);
-    b.columns[2].AppendDouble(m.value);
+    b->columns[0].AppendString(m.name);
+    b->columns[1].AppendString(m.kind);
+    b->columns[2].AppendDouble(m.value);
   }
-  return b;
 }
 
-exec::Batch BuildStlHealthEvents(const obs::EventLog& log,
-                                 const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const obs::HealthEvent& e : log.Snapshot()) {
-    b.columns[0].AppendInt(e.event_id);
-    AppendTicks(&b.columns[1], e.tick);
-    b.columns[2].AppendString(e.source);
-    b.columns[3].AppendString(e.kind);
-    b.columns[4].AppendInt(e.node);
-    b.columns[5].AppendDouble(e.value);
-    b.columns[6].AppendString(e.detail);
+void BuildStlHealthEvents(const SystemTableSources& sources, exec::Batch* b) {
+  for (const obs::HealthEvent& e : sources.event_log->Snapshot()) {
+    b->columns[0].AppendInt(e.event_id);
+    b->columns[1].AppendInt(e.event_id - 1);  // tick: position in history
+    b->columns[2].AppendString(e.source);
+    b->columns[3].AppendString(e.kind);
+    b->columns[4].AppendInt(e.node);
+    b->columns[5].AppendDouble(e.value);
+    b->columns[6].AppendString(e.detail);
   }
-  return b;
 }
 
-exec::Batch BuildStlWlm(const cluster::AdmissionController& wlm,
-                        const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const cluster::AdmissionController::Report& r : wlm.reports()) {
-    b.columns[0].AppendInt(static_cast<int64_t>(r.seq));
-    b.columns[1].AppendInt(r.session_id);
-    b.columns[2].AppendString(r.state);
-    b.columns[3].AppendString(r.queue);
-    b.columns[4].AppendString(r.statement);
-    b.columns[5].AppendDouble(r.queued_seconds);
-    b.columns[6].AppendDouble(r.exec_seconds);
-    b.columns[7].AppendInt(r.hops);
+void BuildStlWlm(const SystemTableSources& sources, exec::Batch* b) {
+  for (const cluster::AdmissionController::Report& r :
+       sources.wlm->reports()) {
+    b->columns[0].AppendInt(static_cast<int64_t>(r.seq));
+    b->columns[1].AppendInt(r.session_id);
+    b->columns[2].AppendString(r.state);
+    b->columns[3].AppendString(r.queue);
+    b->columns[4].AppendString(r.statement);
+    b->columns[5].AppendDouble(r.queued_seconds);
+    b->columns[6].AppendDouble(r.exec_seconds);
+    b->columns[7].AppendInt(r.hops);
   }
-  return b;
 }
 
 std::string HexFingerprint(uint64_t fp) {
@@ -271,115 +171,171 @@ void AppendCacheRows(const std::string& cache_name, LruQueryCache<V>* cache,
   }
 }
 
-exec::Batch BuildStvCache(const SystemTableSources& sources,
-                          const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
+void BuildStvCache(const SystemTableSources& sources, exec::Batch* b) {
   AppendCacheRows<plan::PhysicalQuery>(
       "segment", sources.segment_cache, sources.table_versions,
-      +[](const plan::PhysicalQuery&) -> size_t { return 0; }, &b);
+      +[](const plan::PhysicalQuery&) -> size_t { return 0; }, b);
   AppendCacheRows<CachedResult>(
       "result", sources.result_cache, sources.table_versions,
-      +[](const CachedResult& r) -> size_t { return r.rows.num_rows(); }, &b);
-  return b;
+      +[](const CachedResult& r) -> size_t { return r.rows.num_rows(); }, b);
 }
 
-exec::Batch BuildStlScan(const obs::ScanLog* log, const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (log == nullptr) return b;
-  for (const obs::ScanRecord& s : log->Snapshot()) {
-    b.columns[0].AppendInt(s.scan_id);
-    b.columns[1].AppendInt(s.query_id);
-    b.columns[2].AppendString(s.table);
-    b.columns[3].AppendString(s.site);
-    b.columns[4].AppendString(s.predicates);
-    b.columns[5].AppendInt(static_cast<int64_t>(s.rows_scanned));
-    b.columns[6].AppendInt(static_cast<int64_t>(s.rows_out));
-    b.columns[7].AppendInt(static_cast<int64_t>(s.blocks_read));
-    b.columns[8].AppendInt(static_cast<int64_t>(s.blocks_skipped));
-    b.columns[9].AppendInt(static_cast<int64_t>(s.bytes_decoded));
+void BuildStlScan(const SystemTableSources& sources, exec::Batch* b) {
+  for (const obs::ScanRecord& s : sources.scan_log->Snapshot()) {
+    b->columns[0].AppendInt(s.scan_id);
+    b->columns[1].AppendInt(s.query_id);
+    b->columns[2].AppendString(s.table);
+    b->columns[3].AppendString(s.site);
+    b->columns[4].AppendString(s.predicates);
+    b->columns[5].AppendInt(static_cast<int64_t>(s.rows_scanned));
+    b->columns[6].AppendInt(static_cast<int64_t>(s.rows_out));
+    b->columns[7].AppendInt(static_cast<int64_t>(s.blocks_read));
+    b->columns[8].AppendInt(static_cast<int64_t>(s.blocks_skipped));
+    b->columns[9].AppendInt(static_cast<int64_t>(s.bytes_decoded));
   }
-  return b;
 }
 
-exec::Batch BuildStvInflight(const obs::InflightRegistry* inflight,
-                             const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (inflight == nullptr) return b;
-  for (const obs::InflightEntry& e : inflight->Snapshot()) {
-    b.columns[0].AppendInt(e.inflight_id);
-    b.columns[1].AppendInt(e.session_id);
-    b.columns[2].AppendString(e.statement);
-    b.columns[3].AppendString(e.phase);
-    b.columns[4].AppendInt(static_cast<int64_t>(e.rows_scanned));
-    b.columns[5].AppendInt(e.slices_done);
-    b.columns[6].AppendInt(e.slices_total);
-    b.columns[7].AppendDouble(e.queued_seconds);
-    b.columns[8].AppendDouble(e.exec_seconds);
+void BuildStvInflight(const SystemTableSources& sources, exec::Batch* b) {
+  for (const obs::InflightEntry& e : sources.inflight->Snapshot()) {
+    b->columns[0].AppendInt(e.inflight_id);
+    b->columns[1].AppendInt(e.session_id);
+    b->columns[2].AppendString(e.statement);
+    b->columns[3].AppendString(e.phase);
+    b->columns[4].AppendInt(static_cast<int64_t>(e.rows_scanned));
+    b->columns[5].AppendInt(e.slices_done);
+    b->columns[6].AppendInt(e.slices_total);
+    b->columns[7].AppendDouble(e.queued_seconds);
+    b->columns[8].AppendDouble(e.exec_seconds);
   }
-  return b;
 }
 
-exec::Batch BuildStvGaugeHistory(const obs::GaugeHistory* gauges,
-                                 const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (gauges == nullptr) return b;
+void BuildStvGaugeHistory(const SystemTableSources& sources, exec::Batch* b) {
   // Each sample renders as an aggregate "total" row followed by one row
   // per WLM queue. The warehouse-global gauges (cache hit rates, GC
   // backlog, degradation) repeat on every row of the sample so a
   // per-queue filter still sees them; filter queue = 'total' to chart
   // fleet-wide occupancy without double counting.
-  for (const obs::GaugeSample& s : gauges->Snapshot()) {
-    auto append_row = [&b, &s](const std::string& queue, int queued,
-                               int running, int max_in_flight) {
-      b.columns[0].AppendInt(s.seq);
-      AppendTicks(&b.columns[1], s.tick);
-      b.columns[2].AppendString(queue);
-      b.columns[3].AppendInt(queued);
-      b.columns[4].AppendInt(running);
-      b.columns[5].AppendInt(max_in_flight);
-      b.columns[6].AppendDouble(s.result_cache_hit_rate);
-      b.columns[7].AppendDouble(s.segment_cache_hit_rate);
-      b.columns[8].AppendInt(static_cast<int64_t>(s.gc_backlog));
-      b.columns[9].AppendInt(static_cast<int64_t>(s.degraded_blocks));
+  for (const obs::GaugeSample& s : sources.gauges->Snapshot()) {
+    auto append_row = [b, &s](const std::string& queue, int queued,
+                              int running, int max_in_flight) {
+      b->columns[0].AppendInt(s.seq);
+      AppendTicks(&b->columns[1], s.tick);
+      b->columns[2].AppendString(queue);
+      b->columns[3].AppendInt(queued);
+      b->columns[4].AppendInt(running);
+      b->columns[5].AppendInt(max_in_flight);
+      b->columns[6].AppendDouble(s.result_cache_hit_rate);
+      b->columns[7].AppendDouble(s.segment_cache_hit_rate);
+      b->columns[8].AppendInt(static_cast<int64_t>(s.gc_backlog));
+      b->columns[9].AppendInt(static_cast<int64_t>(s.degraded_blocks));
     };
     append_row("total", s.wlm_queued, s.wlm_running, s.wlm_max_in_flight);
     for (const obs::GaugeSample::QueueGauge& q : s.queues) {
       append_row(q.name, q.queued, q.running, q.max_in_flight);
     }
   }
-  return b;
 }
 
-exec::Batch BuildStlAlertEventLog(const obs::AlertLog* alerts,
-                                  const TableSchema& schema) {
-  exec::Batch b;
-  for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (alerts == nullptr) return b;
-  for (const obs::AlertEvent& a : alerts->Snapshot()) {
-    b.columns[0].AppendInt(a.alert_id);
-    b.columns[1].AppendInt(a.query_id);
-    AppendTicks(&b.columns[2], a.tick);
-    b.columns[3].AppendString(a.rule);
-    b.columns[4].AppendString(a.table);
-    b.columns[5].AppendDouble(a.evidence);
-    b.columns[6].AppendString(a.detail);
-    b.columns[7].AppendString(a.action);
+void BuildStlAlertEventLog(const SystemTableSources& sources,
+                           exec::Batch* b) {
+  for (const obs::AlertEvent& a : sources.alerts->Snapshot()) {
+    b->columns[0].AppendInt(a.alert_id);
+    b->columns[1].AppendInt(a.query_id);
+    AppendTicks(&b->columns[2], a.tick);
+    b->columns[3].AppendString(a.rule);
+    b->columns[4].AppendString(a.table);
+    b->columns[5].AppendDouble(a.evidence);
+    b->columns[6].AppendString(a.detail);
+    b->columns[7].AppendString(a.action);
   }
-  return b;
+}
+
+/// One system table: its name, its columns in order, and the builder
+/// that appends its rows. The one place a system table is declared.
+struct SystemTable {
+  std::string name;
+  std::vector<ColumnDef> columns;
+  void (*build)(const SystemTableSources&, exec::Batch*);
+};
+
+const std::vector<SystemTable>& SystemTables() {
+  static const auto* tables = new std::vector<SystemTable>{
+      // queue_seconds/exec_seconds are measured real time (the WLM split
+      // of the old `elapsed` tick delta, which stays derivable from the
+      // tick columns) — deterministic comparisons must project them out.
+      {"stl_query",
+       {IntCol("query_id"), StrCol("sql_text"), StrCol("status"),
+        IntCol("start_tick"), IntCol("end_tick"), DblCol("queue_seconds"),
+        DblCol("exec_seconds"), IntCol("result_rows"),
+        IntCol("blocks_decoded"), IntCol("network_bytes"),
+        IntCol("masked_reads"), IntCol("s3_fault_reads"), StrCol("snapshot")},
+       BuildStlQuery},
+      {"stl_span",
+       {IntCol("query_id"), IntCol("span_id"), IntCol("parent_id"),
+        StrCol("name"), IntCol("slice"), IntCol("stage"),
+        IntCol("start_tick"), IntCol("end_tick"), IntCol("rows_out"),
+        IntCol("blocks_decoded"), IntCol("bytes_shuffled"),
+        IntCol("masked_reads"), IntCol("s3_fault_reads")},
+       BuildStlSpan},
+      {"stv_blocklist",
+       {StrCol("tbl"), IntCol("node"), IntCol("slice"), StrCol("col"),
+        IntCol("blk"), IntCol("rows"), IntCol("bytes"), StrCol("encoding"),
+        IntCol("version")},
+       BuildStvBlocklist},
+      {"stv_metrics",
+       {StrCol("name"), StrCol("kind"), DblCol("value")},
+       BuildStvMetrics},
+      {"stl_health_events",
+       {IntCol("event_id"), IntCol("tick"), StrCol("source"), StrCol("kind"),
+        IntCol("node"), DblCol("value"), StrCol("detail")},
+       BuildStlHealthEvents},
+      {"stl_wlm",
+       {IntCol("seq"), IntCol("session_id"), StrCol("state"),
+        StrCol("queue"), StrCol("statement"), DblCol("queued_seconds"),
+        DblCol("exec_seconds"), IntCol("hops")},
+       BuildStlWlm},
+      {"stv_cache",
+       {StrCol("cache"), StrCol("fingerprint"), StrCol("tables"),
+        IntCol("hits"), IntCol("entry_rows"), IntCol("live")},
+       BuildStvCache},
+      {"stl_scan",
+       {IntCol("scan_id"), IntCol("query_id"), StrCol("tbl"), StrCol("site"),
+        StrCol("predicates"), IntCol("rows_scanned"), IntCol("rows_out"),
+        IntCol("blocks_read"), IntCol("blocks_skipped"),
+        IntCol("bytes_decoded")},
+       BuildStlScan},
+      {"stv_inflight",
+       {IntCol("inflight_id"), IntCol("session_id"), StrCol("statement"),
+        StrCol("phase"), IntCol("rows_scanned"), IntCol("slices_done"),
+        IntCol("slices_total"), DblCol("queued_seconds"),
+        DblCol("exec_seconds")},
+       BuildStvInflight},
+      {"stv_gauge_history",
+       {IntCol("seq"), IntCol("tick"), StrCol("queue"), IntCol("wlm_queued"),
+        IntCol("wlm_running"), IntCol("wlm_max_in_flight"),
+        DblCol("result_cache_hit_rate"), DblCol("segment_cache_hit_rate"),
+        IntCol("gc_backlog"), IntCol("degraded_blocks")},
+       BuildStvGaugeHistory},
+      {"stl_alert_event_log",
+       {IntCol("alert_id"), IntCol("query_id"), IntCol("tick"),
+        StrCol("rule"), StrCol("tbl"), DblCol("evidence"), StrCol("detail"),
+        StrCol("action")},
+       BuildStlAlertEventLog},
+  };
+  return *tables;
+}
+
+const SystemTable* FindSystemTable(const std::string& name) {
+  for (const SystemTable& table : SystemTables()) {
+    if (table.name == name) return &table;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 bool IsSystemTable(const std::string& name) {
-  static const std::set<std::string>* tables = new std::set<std::string>{
-      "stl_query", "stl_span", "stv_blocklist", "stv_metrics",
-      "stl_health_events", "stl_wlm", "stv_cache", "stl_scan",
-      "stv_inflight", "stv_gauge_history", "stl_alert_event_log"};
-  return tables->count(name) > 0;
+  return FindSystemTable(name) != nullptr;
 }
 
 Result<SystemQueryResult> ExecuteSystemQuery(const plan::LogicalQuery& query,
@@ -387,32 +343,15 @@ Result<SystemQueryResult> ExecuteSystemQuery(const plan::LogicalQuery& query,
   if (query.join_table.has_value()) {
     return Status::NotSupported("joins are not supported on system tables");
   }
-  SDW_ASSIGN_OR_RETURN(TableSchema schema, SchemaFor(query.from_table));
-
-  exec::Batch data;
-  if (query.from_table == "stl_query") {
-    data = BuildStlQuery(*sources.query_log, schema);
-  } else if (query.from_table == "stl_span") {
-    data = BuildStlSpan(*sources.query_log, schema);
-  } else if (query.from_table == "stv_blocklist") {
-    data = BuildStvBlocklist(sources.cluster, schema);
-  } else if (query.from_table == "stv_metrics") {
-    data = BuildStvMetrics(schema);
-  } else if (query.from_table == "stl_wlm") {
-    data = BuildStlWlm(*sources.wlm, schema);
-  } else if (query.from_table == "stv_cache") {
-    data = BuildStvCache(sources, schema);
-  } else if (query.from_table == "stl_scan") {
-    data = BuildStlScan(sources.scan_log, schema);
-  } else if (query.from_table == "stv_inflight") {
-    data = BuildStvInflight(sources.inflight, schema);
-  } else if (query.from_table == "stv_gauge_history") {
-    data = BuildStvGaugeHistory(sources.gauges, schema);
-  } else if (query.from_table == "stl_alert_event_log") {
-    data = BuildStlAlertEventLog(sources.alerts, schema);
-  } else {
-    data = BuildStlHealthEvents(*sources.event_log, schema);
+  const SystemTable* table = FindSystemTable(query.from_table);
+  if (table == nullptr) {
+    return Status::NotFound("unknown system table '" + query.from_table +
+                            "'");
   }
+  const TableSchema schema(table->name, table->columns);
+  exec::Batch data;
+  for (const ColumnDef& c : table->columns) data.columns.emplace_back(c.type);
+  table->build(sources, &data);
 
   // Plan against a one-table synthetic catalog, then run the pipeline
   // on the leader: system tables live on the leader node, so there is

@@ -21,9 +21,8 @@
 namespace sdw::warehouse {
 
 /// True when `name` is one of the Redshift-style observability system
-/// tables: stl_query, stl_span, stv_blocklist, stv_metrics,
-/// stl_health_events, stl_wlm, stv_cache, stl_scan, stv_inflight,
-/// stv_gauge_history, stl_alert_event_log.
+/// tables declared in system_tables.cc's registry (the stl_/stv_
+/// catalog in DESIGN.md).
 bool IsSystemTable(const std::string& name);
 
 struct SystemQueryResult {
@@ -32,9 +31,9 @@ struct SystemQueryResult {
 };
 
 /// Everything a system-table SELECT may materialize from. The caller
-/// (the warehouse) fills in pointers to its live components plus a
-/// consistent copy of the table-version counters (used by stv_cache to
-/// mark entries live vs stale).
+/// (the warehouse) fills in every pointer to its live components plus
+/// a consistent copy of the table-version counters (used by stv_cache
+/// to mark entries live vs stale).
 struct SystemTableSources {
   const obs::QueryLog* query_log = nullptr;
   const obs::EventLog* event_log = nullptr;

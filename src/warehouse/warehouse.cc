@@ -297,7 +297,7 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
       gauge.max_in_flight = queue.max_in_flight;
       sample.queues.push_back(std::move(gauge));
     }
-    gauges_.Record(sample);
+    gauges_.Append(sample);
     obs::SweepAlertInputs sweep_inputs;
     sweep_inputs.tick = sample.tick;
     sweep_inputs.sample = sample;
@@ -306,7 +306,7 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
         options_.health_gc_threshold > 0
             ? static_cast<uint64_t>(options_.health_gc_threshold)
             : 0;
-    alerts_.Record(obs::EvaluateSweepAlerts(sweep_inputs));
+    alerts_.AppendAll(obs::EvaluateSweepAlerts(sweep_inputs));
   }
 
   HealthStats stats;
@@ -330,16 +330,21 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
     // the host manager restarts it locally until its budget runs out.
     if (host_managers_[n].OnProcessCrash()) {
       ++stats.restarts;
-      event_log_.Record("host_manager", "restart", n,
-                        static_cast<double>(cluster_->node_read_failures(n)),
-                        "process restart after repeated masked read failures");
+      event_log_.Append(
+          {.source = "host_manager",
+           .kind = "restart",
+           .node = n,
+           .value = static_cast<double>(cluster_->node_read_failures(n)),
+           .detail = "process restart after repeated masked read failures"});
       cluster_->ResetNodeReadFailures(n);
     } else {
       SDW_LOG(Warning) << "node " << n
                        << " exceeded its restart budget; escalating to "
                           "control-plane replacement";
-      event_log_.Record("host_manager", "escalate", n, 0,
-                        "restart budget exhausted");
+      event_log_.Append({.source = "host_manager",
+                         .kind = "escalate",
+                         .node = n,
+                         .detail = "restart budget exhausted"});
       repl->FailNode(n);
       to_replace.push_back(n);
     }
@@ -351,9 +356,10 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
   SDW_ASSIGN_OR_RETURN(int rereplicated, repl->ReReplicate());
   stats.blocks_rereplicated = static_cast<uint64_t>(rereplicated);
   if (rereplicated > 0) {
-    event_log_.Record("sweep", "rereplicate", -1,
-                      static_cast<double>(rereplicated),
-                      "blocks copied back to two-copy");
+    event_log_.Append({.source = "sweep",
+                       .kind = "rereplicate",
+                       .value = static_cast<double>(rereplicated),
+                       .detail = "blocks copied back to two-copy"});
   }
 
   for (int n : to_replace) {
@@ -378,9 +384,10 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
     SDW_LOG(Warning) << stats.single_copy_blocks
                      << " blocks at a single copy (degraded mode: serving "
                         "continues, next sweep re-replicates)";
-    event_log_.Record("sweep", "degraded", -1,
-                      static_cast<double>(stats.single_copy_blocks),
-                      "blocks at a single copy after sweep");
+    event_log_.Append({.source = "sweep",
+                       .kind = "degraded",
+                       .value = static_cast<double>(stats.single_copy_blocks),
+                       .detail = "blocks at a single copy after sweep"});
   }
 
   // Self-triggering MVCC GC: once retired versions and dropped shards
@@ -396,10 +403,11 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
     stats.gc_triggered = true;
     stats.gc_versions_reclaimed = gc.versions_reclaimed;
     stats.gc_blocks_reclaimed = gc.blocks_reclaimed;
-    event_log_.Record("sweep", "gc", -1,
-                      static_cast<double>(gc.blocks_reclaimed),
-                      "self-triggered GC at pending-garbage " +
-                          std::to_string(pending));
+    event_log_.Append({.source = "sweep",
+                       .kind = "gc",
+                       .value = static_cast<double>(gc.blocks_reclaimed),
+                       .detail = "self-triggered GC at pending-garbage " +
+                                 std::to_string(pending)});
   }
   return stats;
 }
@@ -796,9 +804,9 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   report.set_state("run");
 
   // Workload intelligence at query finish: log the per-scan telemetry
-  // (stl_scan + block heat) and evaluate the performance-alert rules
-  // over it. Alert ticks are the query's end tick, so serial and
-  // pooled runs log byte-identical alert histories.
+  // (stl_scan) and evaluate the performance-alert rules over it. Alert
+  // ticks are the query's end tick, so serial and pooled runs log
+  // byte-identical alert histories.
   std::vector<obs::AlertEvent> fired;
   if (options_.workload_intelligence) {
     std::vector<obs::ScanRecord> scans;
@@ -825,8 +833,8 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
     inputs.exec_seconds = exec_seconds;
     inputs.repeat_cache_miss = repeat_cache_miss;
     fired = obs::EvaluateQueryAlerts(inputs);
-    alerts_.Record(fired);
-    scan_log_.Append(std::move(scans));
+    alerts_.AppendAll(fired);
+    scan_log_.AppendAll(std::move(scans));
   }
 
   if (explain_analyze) {
@@ -1287,17 +1295,18 @@ Result<Warehouse::RecoverStats> Warehouse::Recover() {
   SDW_RETURN_IF_ERROR(status);
   recoveries->Add();
   replayed->Add(stats.replayed_records);
-  event_log_.Record(
-      "durability", "recover", -1,
-      static_cast<double>(stats.replayed_records),
-      "recovered from snapshot " + std::to_string(stats.base_snapshot_id) +
-          ", replayed " + std::to_string(stats.replayed_records) +
-          " log records (" + std::to_string(stats.replayed_statements) +
-          " statements)" +
-          (stats.torn_lsn != 0
-               ? ", truncated torn tail at lsn " +
-                     std::to_string(stats.torn_lsn)
-               : ""));
+  event_log_.Append(
+      {.source = "durability",
+       .kind = "recover",
+       .value = static_cast<double>(stats.replayed_records),
+       .detail =
+           "recovered from snapshot " + std::to_string(stats.base_snapshot_id) +
+           ", replayed " + std::to_string(stats.replayed_records) +
+           " log records (" + std::to_string(stats.replayed_statements) +
+           " statements)" +
+           (stats.torn_lsn != 0 ? ", truncated torn tail at lsn " +
+                                      std::to_string(stats.torn_lsn)
+                                : "")});
   return stats;
 }
 

@@ -90,8 +90,6 @@ struct WarehouseOptions {
   /// progress, gauge sampling, and performance alerts. On by default;
   /// the A17 bench's baseline arm turns it off to measure its overhead.
   bool workload_intelligence = true;
-  /// Ring size of stv_gauge_history (one sample per health sweep).
-  size_t gauge_history_capacity = 256;
 };
 
 /// Outcome of one health sweep (§2.2: host managers restart, the
@@ -268,14 +266,8 @@ class Warehouse {
   obs::QueryLog* query_log() { return &query_log_; }
   obs::EventLog* event_log() { return &event_log_; }
 
-  /// Workload intelligence: per-scan telemetry + block heat (stl_scan),
-  /// live statement progress (stv_inflight), sweep gauge samples
-  /// (stv_gauge_history), and performance alerts
-  /// (stl_alert_event_log). All four are queryable through Execute().
-  obs::ScanLog* scan_log() { return &scan_log_; }
+  /// Live statement progress behind stv_inflight.
   obs::InflightRegistry* inflight() { return &inflight_; }
-  obs::GaugeHistory* gauges() { return &gauges_; }
-  obs::AlertLog* alerts() { return &alerts_; }
 
   /// One MVCC garbage-collection sweep over the data plane: reclaims
   /// retired chain versions and dropped tables no pinned snapshot can
@@ -400,7 +392,7 @@ class Warehouse {
   obs::EventLog event_log_;
   obs::ScanLog scan_log_;
   obs::InflightRegistry inflight_;
-  obs::GaugeHistory gauges_{options_.gauge_history_capacity};
+  obs::GaugeHistory gauges_{obs::kGaugeHistoryCapacity};
   obs::AlertLog alerts_;
 
   /// Lock order: admission slot -> writer_mu_ -> data_mu_ -> cache_mu_

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "obs/record_log.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "warehouse/system_tables.h"
@@ -174,6 +175,31 @@ TEST(TraceTest, VirtualTimesModelStagesAndParallelSiblings) {
   EXPECT_GE(fin->start_tick, a->end_tick);
   EXPECT_GE(root->end_tick, fin->end_tick);
   EXPECT_EQ(trace.end_tick(), root->end_tick);
+}
+
+// ---------------------------------------------------------------------
+// Record log
+// ---------------------------------------------------------------------
+
+struct Row {
+  int id = 0;
+  int payload = 0;
+};
+
+TEST(RecordLogTest, BoundedLogKeepsNewestRowsWithMonotonicIds) {
+  // Numbered from 0, as stl_wlm's ring is.
+  obs::RecordLog<Row, &Row::id> log(/*capacity=*/4, /*first_id=*/0);
+  for (int i = 0; i < 6; ++i) log.Append({.payload = i});
+  log.AppendAll({{.payload = 6}, {.payload = 7}, {.payload = 8}});
+
+  // Nine appends into four slots: the survivors are the newest four,
+  // and ids kept counting across every eviction.
+  const std::vector<Row> rows = log.Snapshot();
+  ASSERT_EQ(rows.size(), 4u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].payload, static_cast<int>(5 + i));
+    EXPECT_EQ(rows[i].id, static_cast<int>(5 + i));
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -385,7 +411,7 @@ TEST(SystemTablesTest, StlQuerySplitsQueueAndExecSeconds) {
             wh.query_log()->Snapshot().size());
 }
 
-TEST(SystemTablesTest, ScanTelemetryFeedsStlScanAndBlockHeat) {
+TEST(SystemTablesTest, ScanTelemetryFeedsStlScan) {
   warehouse::Warehouse wh(ObsOptions(0));
   RunWorkload(&wh);
 
@@ -397,7 +423,11 @@ TEST(SystemTablesTest, ScanTelemetryFeedsStlScanAndBlockHeat) {
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_GT(r->rows.num_rows(), 0u);
   bool saw_selective = false;
+  int64_t rows_scanned = 0;
+  int64_t blocks_read = 0;
   for (size_t i = 0; i < r->rows.num_rows(); ++i) {
+    rows_scanned += r->rows.columns[3].IntAt(i);
+    blocks_read += r->rows.columns[5].IntAt(i);
     const std::string preds = r->rows.columns[2].StringAt(i);
     if (preds.find("k >= 5") == std::string::npos) continue;
     saw_selective = true;
@@ -409,18 +439,13 @@ TEST(SystemTablesTest, ScanTelemetryFeedsStlScanAndBlockHeat) {
   }
   EXPECT_TRUE(saw_selective);
 
-  // The per-table heat fold agrees with summing the log.
-  auto heat = wh.scan_log()->Heat();
-  ASSERT_TRUE(heat.count("f"));
-  EXPECT_GT(heat["f"].scans, 0u);
+  // Aggregates over the log agree with summing its rows.
   auto sums = wh.Execute(
       "SELECT SUM(rows_scanned) AS rs, SUM(blocks_read) AS br "
       "FROM stl_scan WHERE tbl = 'f'");
   ASSERT_TRUE(sums.ok()) << sums.status();
-  EXPECT_EQ(static_cast<uint64_t>(sums->rows.columns[0].IntAt(0)),
-            heat["f"].rows_scanned);
-  EXPECT_EQ(static_cast<uint64_t>(sums->rows.columns[1].IntAt(0)),
-            heat["f"].blocks_read);
+  EXPECT_EQ(sums->rows.columns[0].IntAt(0), rows_scanned);
+  EXPECT_EQ(sums->rows.columns[1].IntAt(0), blocks_read);
 }
 
 TEST(SystemTablesTest, SelectiveFilterAlertFiresDeterministically) {
@@ -536,6 +561,62 @@ TEST(SystemTablesTest, AggregatesAndFiltersOverSystemTables) {
 
   // EXPLAIN on a system table is rejected; joins with system tables too.
   EXPECT_FALSE(wh.Execute("EXPLAIN SELECT * FROM stl_query").ok());
+}
+
+TEST(SystemTablesTest, EveryDeclaredTableServesItsColumns) {
+  const std::map<std::string, std::vector<std::string>> declared = {
+      {"stl_query",
+       {"query_id", "sql_text", "status", "start_tick", "end_tick",
+        "queue_seconds", "exec_seconds", "result_rows", "blocks_decoded",
+        "network_bytes", "masked_reads", "s3_fault_reads", "snapshot"}},
+      {"stl_span",
+       {"query_id", "span_id", "parent_id", "name", "slice", "stage",
+        "start_tick", "end_tick", "rows_out", "blocks_decoded",
+        "bytes_shuffled", "masked_reads", "s3_fault_reads"}},
+      {"stv_blocklist",
+       {"tbl", "node", "slice", "col", "blk", "rows", "bytes", "encoding",
+        "version"}},
+      {"stv_metrics", {"name", "kind", "value"}},
+      {"stl_health_events",
+       {"event_id", "tick", "source", "kind", "node", "value", "detail"}},
+      {"stl_wlm",
+       {"seq", "session_id", "state", "queue", "statement", "queued_seconds",
+        "exec_seconds", "hops"}},
+      {"stv_cache",
+       {"cache", "fingerprint", "tables", "hits", "entry_rows", "live"}},
+      {"stl_scan",
+       {"scan_id", "query_id", "tbl", "site", "predicates", "rows_scanned",
+        "rows_out", "blocks_read", "blocks_skipped", "bytes_decoded"}},
+      {"stv_inflight",
+       {"inflight_id", "session_id", "statement", "phase", "rows_scanned",
+        "slices_done", "slices_total", "queued_seconds", "exec_seconds"}},
+      {"stv_gauge_history",
+       {"seq", "tick", "queue", "wlm_queued", "wlm_running",
+        "wlm_max_in_flight", "result_cache_hit_rate",
+        "segment_cache_hit_rate", "gc_backlog", "degraded_blocks"}},
+      {"stl_alert_event_log",
+       {"alert_id", "query_id", "tick", "rule", "tbl", "evidence", "detail",
+        "action"}},
+  };
+  warehouse::Warehouse wh(ObsOptions(0));
+  RunWorkload(&wh);
+  for (const auto& [table, columns] : declared) {
+    EXPECT_TRUE(warehouse::IsSystemTable(table)) << table;
+    auto r = wh.Execute("SELECT * FROM " + table);
+    ASSERT_TRUE(r.ok()) << table << " -> " << r.status();
+    EXPECT_EQ(r->column_names, columns) << table;
+  }
+
+  // An undeclared stl_ name is not a system table, and the dispatcher
+  // refuses it instead of serving some other table's rows.
+  EXPECT_FALSE(warehouse::IsSystemTable("stl_bogus"));
+  EXPECT_FALSE(wh.Execute("SELECT * FROM stl_bogus").ok());
+  plan::LogicalQuery bogus;
+  bogus.from_table = "stl_bogus";
+  bogus.select_star = true;
+  auto direct = warehouse::ExecuteSystemQuery(bogus, {});
+  ASSERT_FALSE(direct.ok());
+  EXPECT_TRUE(direct.status().IsNotFound()) << direct.status();
 }
 
 TEST(SystemTablesTest, HealthEventsAreQueryable) {

@@ -10,20 +10,29 @@
 
 #include "cluster/wlm.h"
 #include "common/random.h"
+#include "sim/workload_manager.h"
 
 namespace sdw::cluster {
 namespace {
 
-WlmConfig Slots(int n, double penalty = 0.0) {
+WlmConfig Slots(int n) {
   WlmConfig config;
   config.concurrency_slots = n;
+  return config;
+}
+
+using sim::WorkloadManager;
+
+WorkloadManager::Config SimSlots(int n, double penalty = 0.0) {
+  WorkloadManager::Config config;
+  config.slots = n;
   config.per_slot_memory_penalty = penalty;
   return config;
 }
 
 TEST(WlmTest, SlotsBoundConcurrency) {
   sim::Engine engine;
-  WorkloadManager wlm(&engine, Slots(2));
+  WorkloadManager wlm(&engine, SimSlots(2));
   for (int i = 0; i < 6; ++i) wlm.Submit(10.0);
   EXPECT_EQ(wlm.running(), 2);
   EXPECT_EQ(wlm.queued(), 4u);
@@ -38,7 +47,7 @@ TEST(WlmTest, SlotsBoundConcurrency) {
 
 TEST(WlmTest, FifoAdmission) {
   sim::Engine engine;
-  WorkloadManager wlm(&engine, Slots(1));
+  WorkloadManager wlm(&engine, SimSlots(1));
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
     wlm.Submit(1.0, [&order, i](const WorkloadManager::QueryReport&) {
@@ -51,7 +60,7 @@ TEST(WlmTest, FifoAdmission) {
 
 TEST(WlmTest, QueueTimeAccounted) {
   sim::Engine engine;
-  WorkloadManager wlm(&engine, Slots(1));
+  WorkloadManager wlm(&engine, SimSlots(1));
   wlm.Submit(5.0);
   wlm.Submit(5.0);
   engine.Run();
@@ -63,7 +72,7 @@ TEST(WlmTest, QueueTimeAccounted) {
 TEST(WlmTest, MemoryPenaltySlowsWideConfigs) {
   // 10 slots with a 4% per-slot penalty run each query 1.36x slower.
   sim::Engine engine;
-  WorkloadManager wlm(&engine, Slots(10, 0.04));
+  WorkloadManager wlm(&engine, SimSlots(10, 0.04));
   wlm.Submit(10.0);
   engine.Run();
   EXPECT_NEAR(wlm.reports()[0].exec_seconds, 13.6, 1e-9);
@@ -76,7 +85,7 @@ TEST(WlmTest, TradeoffComponentsAreMonotone) {
   // arrival mix.
   auto run = [](int slots) {
     sim::Engine engine;
-    WorkloadManager wlm(&engine, Slots(slots, 0.04));
+    WorkloadManager wlm(&engine, SimSlots(slots, 0.04));
     for (int i = 0; i < 40; ++i) wlm.Submit(1.0);
     engine.Run();
     double queue = 0, exec = 0;
@@ -97,7 +106,7 @@ TEST(WlmTest, TradeoffComponentsAreMonotone) {
 
 TEST(WlmTest, LateSubmissionsAdmitImmediatelyWhenIdle) {
   sim::Engine engine;
-  WorkloadManager wlm(&engine, Slots(2));
+  WorkloadManager wlm(&engine, SimSlots(2));
   wlm.Submit(1.0);
   engine.Run();
   ASSERT_EQ(wlm.reports().size(), 1u);
@@ -114,13 +123,10 @@ TEST(WlmTest, ZeroAndNegativeSlotConfigsAreClamped) {
   EXPECT_EQ(SanitizeWlmConfig(Slots(0)).concurrency_slots, 1);
   EXPECT_EQ(SanitizeWlmConfig(Slots(-3)).concurrency_slots, 1);
   EXPECT_EQ(SanitizeWlmConfig(Slots(4)).concurrency_slots, 4);
-  WlmConfig history = Slots(2);
-  history.max_report_history = 0;
-  EXPECT_EQ(SanitizeWlmConfig(history).max_report_history, 1u);
 
   // Both the simulator and the live controller accept the bad config.
   sim::Engine engine;
-  WorkloadManager wlm(&engine, Slots(0));
+  WorkloadManager wlm(&engine, SimSlots(0));
   wlm.Submit(1.0);
   engine.Run();
   EXPECT_EQ(wlm.reports().size(), 1u);
@@ -128,38 +134,6 @@ TEST(WlmTest, ZeroAndNegativeSlotConfigsAreClamped) {
   EXPECT_EQ(controller.config().concurrency_slots, 1);
   auto slot = controller.Admit();
   ASSERT_TRUE(slot.ok()) << slot.status();
-}
-
-TEST(WlmTest, SimulatorReportHistoryIsRingBuffered) {
-  sim::Engine engine;
-  WlmConfig config = Slots(2);
-  config.max_report_history = 8;
-  WorkloadManager wlm(&engine, config);
-  for (int i = 0; i < 50; ++i) wlm.Submit(1.0);
-  engine.Run();
-  EXPECT_EQ(wlm.reports().size(), 8u) << "history must not grow unbounded";
-  // The survivors are the newest reports: the last completion is at
-  // t=25 (50 unit queries through 2 slots).
-  EXPECT_DOUBLE_EQ(wlm.reports().back().finished_at, 25.0);
-}
-
-TEST(WlmTest, AdmissionReportHistoryIsRingBuffered) {
-  WlmConfig config = Slots(4);
-  config.max_report_history = 16;
-  AdmissionController controller(config);
-  for (int i = 0; i < 100; ++i) {
-    AdmissionController::Report report;
-    report.session_id = i;
-    report.state = "run";
-    controller.Record(std::move(report));
-  }
-  const std::vector<AdmissionController::Report> reports =
-      controller.reports();
-  ASSERT_EQ(reports.size(), 16u);
-  EXPECT_EQ(reports.front().session_id, 84);
-  EXPECT_EQ(reports.back().session_id, 99);
-  // Sequence numbers keep counting across evictions.
-  EXPECT_EQ(reports.back().seq, 99u);
 }
 
 TEST(WlmTest, AdmissionEnforcesSlotLimitAcrossThreads) {
