@@ -41,19 +41,28 @@ int Datum::Compare(const Datum& other) const {
   return int_ < other.int_ ? -1 : (int_ > other.int_ ? 1 : 0);
 }
 
+namespace {
+
+constexpr uint64_t kNullHash = 0x6e756c6cull;  // "null"
+
+uint64_t HashDouble(double d) {
+  // Normalize -0.0 so equal doubles hash equally.
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return Hash64(bits);
+}
+
+}  // namespace
+
 uint64_t Datum::Hash() const {
-  if (is_null_) return 0x6e756c6cull;  // "null"
+  if (is_null_) return kNullHash;
   switch (type_) {
     case TypeId::kString:
       return Hash64(std::string_view(string_));
-    case TypeId::kDouble: {
-      // Normalize -0.0 so equal doubles hash equally.
-      double d = double_ == 0.0 ? 0.0 : double_;
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return Hash64(bits);
-    }
+    case TypeId::kDouble:
+      return HashDouble(double_);
     default:
       return Hash64(static_cast<uint64_t>(int_));
   }
@@ -145,6 +154,26 @@ Datum ColumnVector::DatumAt(size_t i) const {
   return Datum::Null();
 }
 
+uint64_t ColumnVector::HashAt(size_t i) const {
+  if (IsNull(i)) return kNullHash;
+  // Each integer-like type hashes the value DatumAt would box.
+  switch (type_) {
+    case TypeId::kBool:
+      return Hash64(static_cast<uint64_t>(ints_[i] != 0 ? 1 : 0));
+    case TypeId::kInt32:
+    case TypeId::kDate:
+      return Hash64(static_cast<uint64_t>(
+          static_cast<int64_t>(static_cast<int32_t>(ints_[i]))));
+    case TypeId::kInt64:
+      return Hash64(static_cast<uint64_t>(ints_[i]));
+    case TypeId::kDouble:
+      return HashDouble(doubles_[i]);
+    case TypeId::kString:
+      return Hash64(std::string_view(strings_[i]));
+  }
+  return kNullHash;
+}
+
 Status ColumnVector::AppendRange(const ColumnVector& other, size_t begin,
                                  size_t end) {
   if (other.type_ != type_) {
@@ -193,36 +222,41 @@ ColumnVector ColumnVector::TakeStrings(std::vector<std::string> lane) {
   return v;
 }
 
+namespace {
+
+// dst[i] = src[rows[i]]. Raw pointers: a byte store through a vector
+// would force the compiler to reload every lane pointer per row.
+template <typename T>
+void Gather(const T* src, const uint32_t* rows, size_t n, T* dst) {
+  for (size_t i = 0; i < n; ++i) dst[i] = src[rows[i]];
+}
+
+}  // namespace
+
 Status ColumnVector::AppendSelected(const ColumnVector& other,
                                     const std::vector<uint32_t>& indices) {
   if (other.type_ != type_) {
     return Status::InvalidArgument("AppendSelected across types");
   }
   const size_t base = nulls_.size();
-  nulls_.resize(base + indices.size());
+  const size_t n = indices.size();
+  const uint32_t* rows = indices.data();
   if (type_ == TypeId::kDouble) {
-    doubles_.resize(base + indices.size());
-    for (size_t i = 0; i < indices.size(); ++i) {
-      doubles_[base + i] = other.doubles_[indices[i]];
-      nulls_[base + i] = other.nulls_[indices[i]];
-    }
+    doubles_.resize(base + n);
+    Gather(other.doubles_.data(), rows, n, doubles_.data() + base);
   } else if (type_ == TypeId::kString) {
-    strings_.resize(base + indices.size());
-    for (size_t i = 0; i < indices.size(); ++i) {
-      strings_[base + i] = other.strings_[indices[i]];
-      nulls_[base + i] = other.nulls_[indices[i]];
-    }
+    strings_.resize(base + n);
+    for (size_t i = 0; i < n; ++i) strings_[base + i] = other.strings_[rows[i]];
   } else {
-    ints_.resize(base + indices.size());
-    for (size_t i = 0; i < indices.size(); ++i) {
-      ints_[base + i] = other.ints_[indices[i]];
-      nulls_[base + i] = other.nulls_[indices[i]];
-    }
+    ints_.resize(base + n);
+    Gather(other.ints_.data(), rows, n, ints_.data() + base);
   }
+  // resize() zero-fills: a NULL-free source needs no null gather.
+  nulls_.resize(base + n);
   if (other.null_count_ > 0) {
-    for (size_t i = 0; i < indices.size(); ++i) {
-      null_count_ += nulls_[base + i];
-    }
+    uint8_t* dst = nulls_.data() + base;
+    Gather(other.nulls_.data(), rows, n, dst);
+    for (size_t i = 0; i < n; ++i) null_count_ += dst[i];
   }
   return Status::OK();
 }

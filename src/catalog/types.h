@@ -137,6 +137,10 @@ class ColumnVector {
   /// Value at i as a Datum (NULL-aware).
   Datum DatumAt(size_t i) const;
 
+  /// DatumAt(i).Hash(), read straight from the lane (hash routing and
+  /// sketches without boxing a Datum per row).
+  uint64_t HashAt(size_t i) const;
+
   /// Direct lane access for tight loops and encoders.
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }

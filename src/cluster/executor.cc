@@ -13,15 +13,25 @@ namespace sdw::cluster {
 
 namespace {
 
-/// Key hash of one row over the given columns (must match across the
-/// two sides of a shuffle).
-uint64_t RowKeyHash(const exec::Batch& batch, const std::vector<int>& keys,
-                    size_t row) {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
+/// Splits the rows of `batch` into (*by_target)[t], the row indexes
+/// bound for slice t: each row's key hash (Datum::Hash of its key
+/// columns, combined in order, so both sides of a shuffle agree) modulo
+/// the slice count.
+void RouteRows(const exec::Batch& batch, const std::vector<int>& keys,
+               std::vector<std::vector<uint32_t>>* by_target) {
+  const size_t n = batch.num_rows();
+  std::vector<uint64_t> hashes(n, 0x9e3779b97f4a7c15ull);
   for (int k : keys) {
-    h = HashCombine(h, batch.columns[k].DatumAt(row).Hash());
+    const ColumnVector& col = batch.columns[k];
+    for (size_t i = 0; i < n; ++i) {
+      hashes[i] = HashCombine(hashes[i], col.HashAt(i));
+    }
   }
-  return h;
+  for (std::vector<uint32_t>& rows : *by_target) rows.clear();
+  const uint64_t slices = by_target->size();
+  for (size_t i = 0; i < n; ++i) {
+    (*by_target)[hashes[i] % slices].push_back(static_cast<uint32_t>(i));
+  }
 }
 
 /// Builds the scan (+ residual filter) operator for one slice over the
@@ -276,18 +286,19 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
                 mine.push_back(exec::MakeBatch(types));
               }
               uint64_t rows_routed = 0;
+              std::vector<std::vector<uint32_t>> by_target(slices);
               while (true) {
                 SDW_ASSIGN_OR_RETURN(std::optional<exec::Batch> batch,
                                      op->Next());
                 if (!batch.has_value()) break;
-                const size_t n = batch->num_rows();
-                rows_routed += n;
-                for (size_t i = 0; i < n; ++i) {
-                  const int target = static_cast<int>(
-                      RowKeyHash(*batch, keys, i) %
-                      static_cast<uint64_t>(slices));
-                  SDW_RETURN_IF_ERROR(
-                      exec::AppendRow(*batch, i, &mine[target]));
+                rows_routed += batch->num_rows();
+                RouteRows(*batch, keys, &by_target);
+                for (int t = 0; t < slices; ++t) {
+                  if (by_target[t].empty()) continue;
+                  for (size_t c = 0; c < batch->columns.size(); ++c) {
+                    SDW_RETURN_IF_ERROR(mine[t].columns[c].AppendSelected(
+                        batch->columns[c], by_target[t]));
+                  }
                 }
               }
               // Cross-node moves hit the interconnect: charge the real

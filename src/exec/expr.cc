@@ -42,6 +42,80 @@ bool ApplyCmp(CmpOp op, int cmp) {
   return false;
 }
 
+// Typed kernels for `column <op> integer literal`, one instance per
+// operator, so each loop is a single compare the compiler can
+// vectorize. CmpExpr picks its pair when it is constructed.
+template <CmpOp kOp>
+bool Holds(int64_t v, int64_t pivot) {
+  if constexpr (kOp == CmpOp::kEq) return v == pivot;
+  if constexpr (kOp == CmpOp::kNe) return v != pivot;
+  if constexpr (kOp == CmpOp::kLt) return v < pivot;
+  if constexpr (kOp == CmpOp::kLe) return v <= pivot;
+  if constexpr (kOp == CmpOp::kGt) return v > pivot;
+  if constexpr (kOp == CmpOp::kGe) return v >= pivot;
+}
+
+// Keeps the selected rows whose value is non-NULL and satisfies the
+// comparison, compacting `sel` in place without branches.
+template <CmpOp kOp>
+void NarrowInts(const ColumnVector& col, int64_t pivot,
+                std::vector<uint32_t>* sel) {
+  const int64_t* v = col.ints().data();
+  uint32_t* rows = sel->data();
+  const size_t n = sel->size();
+  size_t kept = 0;
+  if (col.has_nulls()) {
+    const uint8_t* nulls = col.nulls().data();
+    for (size_t j = 0; j < n; ++j) {
+      const uint32_t i = rows[j];
+      rows[kept] = i;
+      kept += (nulls[i] == 0) & Holds<kOp>(v[i], pivot);
+    }
+  } else {
+    for (size_t j = 0; j < n; ++j) {
+      const uint32_t i = rows[j];
+      rows[kept] = i;
+      kept += Holds<kOp>(v[i], pivot);
+    }
+  }
+  sel->resize(kept);
+}
+
+// The comparison as a BOOLEAN lane over a NULL-free column.
+template <CmpOp kOp>
+ColumnVector MaskInts(const ColumnVector& col, int64_t pivot) {
+  const std::vector<int64_t>& v = col.ints();
+  std::vector<int64_t> lane(v.size());
+  for (size_t i = 0; i < v.size(); ++i) lane[i] = Holds<kOp>(v[i], pivot);
+  return ColumnVector::TakeInts(TypeId::kBool, std::move(lane));
+}
+
+struct IntCmpKernel {
+  void (*narrow)(const ColumnVector&, int64_t, std::vector<uint32_t>*);
+  ColumnVector (*mask)(const ColumnVector&, int64_t);
+};
+
+template <CmpOp kOp>
+constexpr IntCmpKernel kIntCmpKernel = {&NarrowInts<kOp>, &MaskInts<kOp>};
+
+const IntCmpKernel* IntKernelFor(CmpOp op) {
+  switch (op) {
+    case CmpOp::kEq:
+      return &kIntCmpKernel<CmpOp::kEq>;
+    case CmpOp::kNe:
+      return &kIntCmpKernel<CmpOp::kNe>;
+    case CmpOp::kLt:
+      return &kIntCmpKernel<CmpOp::kLt>;
+    case CmpOp::kLe:
+      return &kIntCmpKernel<CmpOp::kLe>;
+    case CmpOp::kGt:
+      return &kIntCmpKernel<CmpOp::kGt>;
+    case CmpOp::kGe:
+      return &kIntCmpKernel<CmpOp::kGe>;
+  }
+  return nullptr;
+}
+
 class ColExpr : public Expr {
  public:
   ColExpr(int index, TypeId type) : index_(index), type_(type) {}
@@ -110,34 +184,26 @@ class LitExpr : public Expr {
 class CmpExpr : public Expr {
  public:
   CmpExpr(CmpOp op, ExprPtr left, ExprPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+      : op_(op), left_(std::move(left)), right_(std::move(right)) {
+    // The dominant predicate shape, column <op> integer literal, gets
+    // its typed kernel here, once per plan, not per batch: no column
+    // copy and no literal lane — the "compiled" tight loop of §2.1.
+    const auto* col = dynamic_cast<const ColExpr*>(left_.get());
+    const auto* lit = dynamic_cast<const LitExpr*>(right_.get());
+    if (col != nullptr && lit != nullptr && IsIntegerLike(col->type()) &&
+        !lit->value().is_null() && IsIntegerLike(lit->value().type())) {
+      kernel_ = IntKernelFor(op_);
+      column_ = col->index();
+      pivot_ = lit->value().int_value();
+    }
+  }
 
   TypeId type() const override { return TypeId::kBool; }
 
   Result<ColumnVector> EvalBatch(const Batch& input) const override {
-    // Specialized kernel for the dominant predicate shape, column <op>
-    // integer literal over a null-free lane: no column copy, no literal
-    // materialization — the "compiled" tight loop of §2.1.
-    if (const auto* col_ref = dynamic_cast<const ColExpr*>(left_.get())) {
-      if (const auto* lit = dynamic_cast<const LitExpr*>(right_.get())) {
-        const int idx = col_ref->index();
-        if (idx >= 0 && static_cast<size_t>(idx) < input.columns.size()) {
-          const ColumnVector& col = input.columns[idx];
-          const Datum& rhs = lit->value();
-          if (IsIntegerLike(col.type()) && !col.has_nulls() &&
-              !rhs.is_null() && IsIntegerLike(rhs.type())) {
-            const int64_t pivot = rhs.int_value();
-            const auto& lane = col.ints();
-            ColumnVector out(TypeId::kBool);
-            out.Reserve(lane.size());
-            for (int64_t v : lane) {
-              int cmp = v < pivot ? -1 : (v > pivot ? 1 : 0);
-              out.AppendInt(ApplyCmp(op_, cmp) ? 1 : 0);
-            }
-            return out;
-          }
-        }
-      }
+    const ColumnVector* col = KernelInput(input);
+    if (col != nullptr && !col->has_nulls()) {
+      return kernel_->mask(*col, pivot_);
     }
     SDW_ASSIGN_OR_RETURN(ColumnVector l, left_->EvalBatch(input));
     SDW_ASSIGN_OR_RETURN(ColumnVector r, right_->EvalBatch(input));
@@ -167,6 +233,14 @@ class CmpExpr : public Expr {
     return out;
   }
 
+  Status Select(const Batch& input, std::vector<uint32_t>* sel) const override {
+    if (const ColumnVector* col = KernelInput(input)) {
+      kernel_->narrow(*col, pivot_, sel);
+      return Status::OK();
+    }
+    return Expr::Select(input, sel);
+  }
+
   Result<Datum> EvalRow(const Row& row) const override {
     SDW_ASSIGN_OR_RETURN(Datum l, left_->EvalRow(row));
     SDW_ASSIGN_OR_RETURN(Datum r, right_->EvalRow(row));
@@ -180,9 +254,23 @@ class CmpExpr : public Expr {
   }
 
  private:
+  // The integer lane the kernel reads, or null when there is no kernel
+  // or the batch has no such lane (the generic path then reports it).
+  const ColumnVector* KernelInput(const Batch& input) const {
+    if (kernel_ == nullptr || column_ < 0 ||
+        static_cast<size_t>(column_) >= input.columns.size()) {
+      return nullptr;
+    }
+    const ColumnVector& col = input.columns[column_];
+    return IsIntegerLike(col.type()) ? &col : nullptr;
+  }
+
   CmpOp op_;
   ExprPtr left_;
   ExprPtr right_;
+  const IntCmpKernel* kernel_ = nullptr;
+  int column_ = -1;
+  int64_t pivot_ = 0;
 };
 
 enum class BoolOp { kAnd, kOr };
@@ -200,15 +288,28 @@ class BoolExpr : public Expr {
     ColumnVector out(TypeId::kBool);
     out.Reserve(l.size());
     for (size_t i = 0; i < l.size(); ++i) {
-      SDW_RETURN_IF_ERROR(out.AppendDatum(Combine(l.DatumAt(i), r.DatumAt(i))));
+      const Truth t = Combine(TruthAt(l, i), TruthAt(r, i));
+      if (t == Truth::kNull) {
+        out.AppendNull();
+      } else {
+        out.AppendInt(t == Truth::kTrue ? 1 : 0);
+      }
     }
     return out;
+  }
+
+  // AND keeps the rows both sides keep: two narrowing passes.
+  Status Select(const Batch& input, std::vector<uint32_t>* sel) const override {
+    if (op_ == BoolOp::kOr) return Expr::Select(input, sel);
+    SDW_RETURN_IF_ERROR(left_->Select(input, sel));
+    return right_->Select(input, sel);
   }
 
   Result<Datum> EvalRow(const Row& row) const override {
     SDW_ASSIGN_OR_RETURN(Datum l, left_->EvalRow(row));
     SDW_ASSIGN_OR_RETURN(Datum r, right_->EvalRow(row));
-    return Combine(l, r);
+    const Truth t = Combine(TruthOf(l), TruthOf(r));
+    return t == Truth::kNull ? Datum::Null() : Datum::Bool(t == Truth::kTrue);
   }
 
   std::string ToString() const override {
@@ -218,20 +319,31 @@ class BoolExpr : public Expr {
   }
 
  private:
+  enum class Truth { kFalse, kTrue, kNull };
+
+  // Row i of a boolean operand; a non-integer lane reads as false, as
+  // its Datum's int_value() does.
+  static Truth TruthAt(const ColumnVector& v, size_t i) {
+    if (v.IsNull(i)) return Truth::kNull;
+    if (!IsIntegerLike(v.type())) return Truth::kFalse;
+    return v.IntAt(i) != 0 ? Truth::kTrue : Truth::kFalse;
+  }
+
+  static Truth TruthOf(const Datum& d) {
+    if (d.is_null()) return Truth::kNull;
+    return d.int_value() != 0 ? Truth::kTrue : Truth::kFalse;
+  }
+
   // SQL three-valued logic.
-  Datum Combine(const Datum& l, const Datum& r) const {
-    const bool lt = !l.is_null() && l.int_value() != 0;
-    const bool rt = !r.is_null() && r.int_value() != 0;
-    const bool lf = !l.is_null() && l.int_value() == 0;
-    const bool rf = !r.is_null() && r.int_value() == 0;
+  Truth Combine(Truth l, Truth r) const {
     if (op_ == BoolOp::kAnd) {
-      if (lf || rf) return Datum::Bool(false);
-      if (lt && rt) return Datum::Bool(true);
-      return Datum::Null();
+      if (l == Truth::kFalse || r == Truth::kFalse) return Truth::kFalse;
+      if (l == Truth::kTrue && r == Truth::kTrue) return Truth::kTrue;
+      return Truth::kNull;
     }
-    if (lt || rt) return Datum::Bool(true);
-    if (lf && rf) return Datum::Bool(false);
-    return Datum::Null();
+    if (l == Truth::kTrue || r == Truth::kTrue) return Truth::kTrue;
+    if (l == Truth::kFalse && r == Truth::kFalse) return Truth::kFalse;
+    return Truth::kNull;
   }
 
   BoolOp op_;
@@ -441,6 +553,26 @@ class StartsWithExpr : public Expr {
 };
 
 }  // namespace
+
+Status Expr::Select(const Batch& input, std::vector<uint32_t>* sel) const {
+  if (sel->empty()) return Status::OK();
+  SDW_ASSIGN_OR_RETURN(ColumnVector mask, EvalBatch(input));
+  if (!IsIntegerLike(mask.type()) || mask.size() != input.num_rows()) {
+    return Status::InvalidArgument("predicate is not a boolean expression: " +
+                                   ToString());
+  }
+  const int64_t* bits = mask.ints().data();
+  const uint8_t* nulls = mask.nulls().data();
+  uint32_t* rows = sel->data();
+  size_t kept = 0;
+  for (size_t j = 0; j < sel->size(); ++j) {
+    const uint32_t i = rows[j];
+    rows[kept] = i;
+    kept += (nulls[i] == 0) & (bits[i] != 0);
+  }
+  sel->resize(kept);
+  return Status::OK();
+}
 
 ExprPtr Col(int index, TypeId type) {
   return std::make_shared<ColExpr>(index, type);

@@ -31,6 +31,14 @@ class Expr {
   /// Vectorized evaluation over a whole batch.
   virtual Result<ColumnVector> EvalBatch(const Batch& input) const = 0;
 
+  /// Narrows `sel`, ascending row indexes into `input`, to the rows
+  /// where this boolean expression is TRUE (NULL is not selected): the
+  /// filter's selection-vector path. The default narrows by EvalBatch's
+  /// mask; a column compared with an integer literal runs a typed
+  /// kernel picked at construction, and AND narrows by each side in
+  /// turn.
+  virtual Status Select(const Batch& input, std::vector<uint32_t>* sel) const;
+
   /// Scalar evaluation of one row (virtual-dispatch per value — the
   /// "general-purpose executor functions" the paper contrasts with
   /// compiled execution).

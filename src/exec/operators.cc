@@ -1,13 +1,15 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
-#include "common/hash.h"
 #include "exec/hll.h"
-#include "common/logging.h"
 #include "obs/profiler.h"
 
 namespace sdw::exec {
@@ -27,41 +29,193 @@ Result<Batch> Collect(Operator* op) {
 
 namespace {
 
-// Serializes a set of key datums into a hashable string (type-erased,
-// length-delimited so distinct tuples never collide).
-std::string SerializeKey(const Batch& batch, const std::vector<int>& keys,
-                         size_t row) {
-  std::string out;
+// Serializes a set of key values into a hashable string (type-erased,
+// length-delimited so distinct tuples never collide), overwriting *out.
+void SerializeKey(const Batch& batch, const std::vector<int>& keys,
+                  size_t row, std::string* out) {
+  out->clear();
   for (int k : keys) {
     const ColumnVector& col = batch.columns[k];
     if (col.IsNull(row)) {
-      out.push_back('\x00');
+      out->push_back('\x00');
       continue;
     }
-    out.push_back('\x01');
+    out->push_back('\x01');
     switch (col.type()) {
       case TypeId::kString: {
         const std::string& s = col.StringAt(row);
         uint32_t len = static_cast<uint32_t>(s.size());
-        out.append(reinterpret_cast<const char*>(&len), 4);
-        out.append(s);
+        out->append(reinterpret_cast<const char*>(&len), 4);
+        out->append(s);
         break;
       }
       case TypeId::kDouble: {
         double d = col.DoubleAt(row);
         if (d == 0.0) d = 0.0;  // normalize -0.0
-        out.append(reinterpret_cast<const char*>(&d), 8);
+        out->append(reinterpret_cast<const char*>(&d), 8);
         break;
       }
       default: {
         int64_t v = col.IntAt(row);
-        out.append(reinterpret_cast<const char*>(&v), 8);
+        out->append(reinterpret_cast<const char*>(&v), 8);
         break;
       }
     }
   }
-  return out;
 }
+
+bool AnyKeyNull(const Batch& batch, const std::vector<int>& keys,
+                size_t row) {
+  for (int k : keys) {
+    if (batch.columns[k].IsNull(row)) return true;
+  }
+  return false;
+}
+
+constexpr uint32_t kNoId = UINT32_MAX;
+
+// Open-addressing hash map from int64 keys to uint32 ids: linear
+// probing over a power-of-two table kept at most half full, with the
+// key and its id side by side in one slot.
+class Int64IdMap {
+ public:
+  Int64IdMap() { Resize(16); }
+
+  // The id stored for `key`, or kNoId.
+  uint32_t Find(int64_t key) const {
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kNoId || slot.key == key) return slot.id;
+    }
+  }
+
+  // The id stored for `key`; stores `id` first when the key is new.
+  uint32_t FindOrAdd(int64_t key, uint32_t id) {
+    size_t i = Home(key);
+    for (;; i = (i + 1) & mask_) {
+      if (slots_[i].id == kNoId) break;
+      if (slots_[i].key == key) return slots_[i].id;
+    }
+    slots_[i] = {key, id};
+    if (2 * ++size_ > slots_.size()) Resize(2 * slots_.size());
+    return id;
+  }
+
+ private:
+  struct Slot {
+    int64_t key = 0;
+    uint32_t id = kNoId;
+  };
+
+  // Fibonacci hashing: the high bits of key * 2^64/phi.
+  size_t Home(int64_t key) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  void Resize(size_t capacity) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& slot : old) {
+      if (slot.id == kNoId) continue;
+      size_t i = Home(slot.key);
+      while (slots_[i].id != kNoId) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int shift_ = 64;
+  size_t size_ = 0;
+};
+
+// Maps key tuples to dense ids in first-seen order: an Int64IdMap for
+// a single integer-like key column, serialized keys otherwise. A NULL
+// single integer key is its own id. The join never adds a key with a
+// NULL, so its NULL probe keys find nothing.
+class KeyIds {
+ public:
+  explicit KeyIds(bool int_key) : int_key_(int_key) {}
+
+  size_t size() const { return size_; }
+
+  // (*ids)[i] = the id of row i's key. With kAdd a new key gets the
+  // next id; without, it gets kNoId.
+  template <bool kAdd>
+  void MapRows(const Batch& batch, const std::vector<int>& keys,
+               std::vector<uint32_t>* ids) {
+    const size_t n = batch.num_rows();
+    ids->resize(n);
+    uint32_t* out = ids->data();
+    if (!int_key_) {
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = MapSerialized<kAdd>(batch, keys, i);
+      }
+      return;
+    }
+    const ColumnVector& col = batch.columns[keys[0]];
+    const int64_t* v = col.ints().data();
+    if (!col.has_nulls()) {
+      for (size_t i = 0; i < n; ++i) out[i] = MapInt<kAdd>(v[i]);
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = col.IsNull(i) ? MapNull<kAdd>() : MapInt<kAdd>(v[i]);
+    }
+  }
+
+  // The id of row `row`'s key, assigning the next id when it is new.
+  uint32_t FindOrAdd(const Batch& batch, const std::vector<int>& keys,
+                     size_t row) {
+    if (!int_key_) return MapSerialized<true>(batch, keys, row);
+    const ColumnVector& col = batch.columns[keys[0]];
+    return col.IsNull(row) ? MapNull<true>() : MapInt<true>(col.IntAt(row));
+  }
+
+ private:
+  uint32_t Next() { return static_cast<uint32_t>(size_); }
+
+  template <bool kAdd>
+  uint32_t MapInt(int64_t key) {
+    if constexpr (!kAdd) {
+      return ints_.Find(key);
+    } else {
+      const uint32_t id = ints_.FindOrAdd(key, Next());
+      if (id == size_) ++size_;
+      return id;
+    }
+  }
+
+  template <bool kAdd>
+  uint32_t MapNull() {
+    if (kAdd && null_id_ == kNoId) null_id_ = static_cast<uint32_t>(size_++);
+    return null_id_;
+  }
+
+  template <bool kAdd>
+  uint32_t MapSerialized(const Batch& batch, const std::vector<int>& keys,
+                         size_t row) {
+    SerializeKey(batch, keys, row, &buffer_);
+    if constexpr (!kAdd) {
+      auto it = strings_.find(buffer_);
+      return it == strings_.end() ? kNoId : it->second;
+    } else {
+      const uint32_t id = strings_.try_emplace(buffer_, Next()).first->second;
+      if (id == size_) ++size_;
+      return id;
+    }
+  }
+
+  bool int_key_;
+  size_t size_ = 0;
+  Int64IdMap ints_;
+  uint32_t null_id_ = kNoId;
+  std::unordered_map<std::string, uint32_t> strings_;
+  std::string buffer_;
+};
 
 // ---------------------------------------------------------------------------
 // MemoryScan
@@ -215,40 +369,31 @@ class FilterOp : public Operator {
     while (true) {
       SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->Next());
       if (!batch.has_value()) return std::optional<Batch>();
-      SDW_ASSIGN_OR_RETURN(ColumnVector mask, predicate_->EvalBatch(*batch));
-      // Selection-vector filtering: one index list, then lane-wise
-      // copies (the compiled engine's tight inner loop).
-      std::vector<uint32_t> selected;
-      selected.reserve(mask.size());
-      const auto& bits = mask.ints();
-      if (mask.has_nulls()) {
-        for (size_t i = 0; i < mask.size(); ++i) {
-          if (!mask.IsNull(i) && bits[i] != 0) {
-            selected.push_back(static_cast<uint32_t>(i));
-          }
-        }
-      } else {
-        for (size_t i = 0; i < bits.size(); ++i) {
-          if (bits[i] != 0) selected.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      if (selected.size() == batch->num_rows()) {
+      // The predicate narrows a selection vector of row indexes, then
+      // the survivors are gathered lane-wise.
+      const size_t n = batch->num_rows();
+      selected_.resize(n);
+      std::iota(selected_.begin(), selected_.end(), 0u);
+      SDW_RETURN_IF_ERROR(predicate_->Select(*batch, &selected_));
+      if (selected_.size() == n) {
         return batch;  // nothing filtered: pass the batch through
       }
+      // All rows filtered: pull the next batch rather than emitting
+      // empties.
+      if (selected_.empty()) continue;
       Batch out = MakeBatch(batch->Types());
       for (size_t c = 0; c < batch->columns.size(); ++c) {
         SDW_RETURN_IF_ERROR(
-            out.columns[c].AppendSelected(batch->columns[c], selected));
+            out.columns[c].AppendSelected(batch->columns[c], selected_));
       }
-      if (out.num_rows() > 0) return std::optional<Batch>(std::move(out));
-      // All rows filtered: pull the next batch rather than emitting
-      // empties.
+      return std::optional<Batch>(std::move(out));
     }
   }
 
  private:
   OperatorPtr input_;
   ExprPtr predicate_;
+  std::vector<uint32_t> selected_;
 };
 
 // ---------------------------------------------------------------------------
@@ -288,6 +433,15 @@ class ProjectOp : public Operator {
 // HashJoin
 // ---------------------------------------------------------------------------
 
+// Single integer-like key columns on both sides join on their int64
+// lanes, exactly as their serialized keys would match.
+bool IntegerKeys(const std::vector<TypeId>& types,
+                 const std::vector<int>& keys) {
+  return keys.size() == 1 && keys[0] >= 0 &&
+         static_cast<size_t>(keys[0]) < types.size() &&
+         IsIntegerLike(types[keys[0]]);
+}
+
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, OperatorPtr build, std::vector<int> probe_keys,
@@ -295,7 +449,9 @@ class HashJoinOp : public Operator {
       : probe_(std::move(probe)),
         build_(std::move(build)),
         probe_keys_(std::move(probe_keys)),
-        build_keys_(std::move(build_keys)) {}
+        build_keys_(std::move(build_keys)),
+        key_ids_(IntegerKeys(probe_->OutputTypes(), probe_keys_) &&
+                 IntegerKeys(build_->OutputTypes(), build_keys_)) {}
 
   std::vector<TypeId> OutputTypes() const override {
     std::vector<TypeId> types = probe_->OutputTypes();
@@ -311,49 +467,64 @@ class HashJoinOp : public Operator {
     while (true) {
       SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, probe_->Next());
       if (!batch.has_value()) return std::optional<Batch>();
-      Batch out = MakeBatch(OutputTypes());
-      const size_t n = batch->num_rows();
-      const size_t probe_width = batch->num_columns();
-      for (size_t i = 0; i < n; ++i) {
-        // NULL keys never join.
-        bool null_key = false;
-        for (int k : probe_keys_) {
-          if (batch->columns[k].IsNull(i)) {
-            null_key = true;
-            break;
-          }
-        }
-        if (null_key) continue;
-        std::string key = SerializeKey(*batch, probe_keys_, i);
-        auto [lo, hi] = table_.equal_range(key);
-        for (auto it = lo; it != hi; ++it) {
-          SDW_RETURN_IF_ERROR(AppendRow(*batch, i, &out));
-          // Append matching build row into the trailing columns.
-          for (size_t c = 0; c < build_data_.num_columns(); ++c) {
-            SDW_RETURN_IF_ERROR(out.columns[probe_width + c].AppendRange(
-                build_data_.columns[c], it->second, it->second + 1));
-          }
+      // Probe: one (probe row, build row) pair per match, then a
+      // lane-wise gather of each output column. A key with a NULL was
+      // never added, so it finds no id: NULLs never join.
+      key_ids_.MapRows<false>(*batch, probe_keys_, &ids_);
+      probe_rows_.clear();
+      build_rows_.clear();
+      for (size_t i = 0; i < ids_.size(); ++i) {
+        if (ids_[i] == kNoId) continue;
+        for (uint32_t b = heads_[ids_[i]]; b != kNoId; b = next_[b]) {
+          probe_rows_.push_back(static_cast<uint32_t>(i));
+          build_rows_.push_back(b);
         }
       }
-      if (out.num_rows() > 0) return std::optional<Batch>(std::move(out));
+      if (probe_rows_.empty()) continue;
+      Batch out;
+      out.columns.reserve(batch->num_columns() + build_data_.num_columns());
+      for (const ColumnVector& col : batch->columns) {
+        out.columns.emplace_back(col.type());
+        SDW_RETURN_IF_ERROR(out.columns.back().AppendSelected(col, probe_rows_));
+      }
+      for (const ColumnVector& col : build_data_.columns) {
+        out.columns.emplace_back(col.type());
+        SDW_RETURN_IF_ERROR(out.columns.back().AppendSelected(col, build_rows_));
+      }
+      return std::optional<Batch>(std::move(out));
     }
   }
 
  private:
+  // A build row inserted while the table holds at most this many rows
+  // goes right after its key's first row; a later one goes in front.
+  static constexpr size_t kFrontInsertAfter = 20;
+
+  // Chains each key's build rows in the order the probe emits them.
+  // The order is the one the std::unordered_multimap this join was
+  // first built on gave under libstdc++ 12 (whose small-table path
+  // inserts a duplicate after the first equal element, and whose
+  // hashed path before it). Join order reaches answers through float
+  // sums, MIN/MAX ties and ORDER BY ties, so it is kept.
   Status Build() {
     SDW_ASSIGN_OR_RETURN(build_data_, Collect(build_.get()));
     const size_t n = build_data_.num_rows();
-    table_.reserve(n);
+    next_.assign(n, kNoId);
+    size_t inserted = 0;
     for (size_t i = 0; i < n; ++i) {
-      bool null_key = false;
-      for (int k : build_keys_) {
-        if (build_data_.columns[k].IsNull(i)) {
-          null_key = true;
-          break;
-        }
+      if (AnyKeyNull(build_data_, build_keys_, i)) continue;
+      const uint32_t row = static_cast<uint32_t>(i);
+      const uint32_t id = key_ids_.FindOrAdd(build_data_, build_keys_, i);
+      if (id == heads_.size()) {
+        heads_.push_back(row);
+      } else if (inserted <= kFrontInsertAfter) {
+        next_[row] = next_[heads_[id]];
+        next_[heads_[id]] = row;
+      } else {
+        next_[row] = heads_[id];
+        heads_[id] = row;
       }
-      if (null_key) continue;
-      table_.emplace(SerializeKey(build_data_, build_keys_, i), i);
+      ++inserted;
     }
     return Status::OK();
   }
@@ -364,28 +535,105 @@ class HashJoinOp : public Operator {
   std::vector<int> build_keys_;
   bool built_ = false;
   Batch build_data_;
-  std::unordered_multimap<std::string, size_t> table_;
+  KeyIds key_ids_;
+  // Per key id, its first build row in probe order; per build row, the
+  // next row with the same key (kNoId ends the chain).
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> next_;
+  // Per probe batch: each row's key id, then the matched row pairs.
+  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> probe_rows_;
+  std::vector<uint32_t> build_rows_;
 };
 
 // ---------------------------------------------------------------------------
 // HashAggregate
 // ---------------------------------------------------------------------------
 
-struct AggState {
-  int64_t count = 0;
-  int64_t sum_int = 0;
-  double sum_double = 0;
-  bool has_value = false;
-  Datum min;
-  Datum max;
-  /// Allocated lazily for kApproxDistinct.
-  std::unique_ptr<HyperLogLog> hll;
+// One aggregate's state, one entry per group id. Which vectors are in
+// use depends on the function and its input lane: COUNT counts in
+// `ints`; SUM, MIN and MAX keep their value in `ints`, `doubles` or
+// (MIN/MAX only) `strings`, with `has_value` set once a non-NULL input
+// arrived; APPROXIMATE COUNT(DISTINCT) keeps lazily allocated sketches.
+struct AggColumn {
+  AggFn fn = AggFn::kCount;
+  int input = -1;  // batch column read; -1 for COUNT(*)
+  TypeId type = TypeId::kInt64;  // that column's type
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string> strings;
+  std::vector<uint8_t> has_value;
+  std::vector<std::unique_ptr<HyperLogLog>> sketches;
 
-  HyperLogLog* Sketch() {
-    if (!hll) hll = std::make_unique<HyperLogLog>();
-    return hll.get();
+  void Resize(size_t groups) {
+    if (fn == AggFn::kApproxDistinct) {
+      sketches.resize(groups);
+      return;
+    }
+    if (fn == AggFn::kCount || IsIntegerLike(type)) {
+      ints.resize(groups, 0);
+    } else if (type == TypeId::kDouble) {
+      doubles.resize(groups, 0.0);
+    } else {
+      strings.resize(groups);
+    }
+    if (fn != AggFn::kCount) has_value.resize(groups, 0);
   }
 };
+
+// The per-row loops. Each runs once per batch and aggregate over
+// (gid[i], lane[i]); kNulls picks the variant that skips NULL lanes.
+template <bool kNulls>
+void CountRowsInto(const uint32_t* gid, const uint8_t* nulls, size_t n,
+                   int64_t* count) {
+  for (size_t i = 0; i < n; ++i) {
+    if (kNulls && nulls[i] != 0) continue;
+    ++count[gid[i]];
+  }
+}
+
+template <bool kNulls, typename T>
+void SumInto(const uint32_t* gid, const T* v, const uint8_t* nulls, size_t n,
+             T* sum, uint8_t* has_value) {
+  for (size_t i = 0; i < n; ++i) {
+    if (kNulls && nulls[i] != 0) continue;
+    const uint32_t g = gid[i];
+    if constexpr (std::is_same_v<T, int64_t>) {
+      // Integer SUM wraps (two's complement) rather than overflowing.
+      sum[g] = static_cast<int64_t>(static_cast<uint64_t>(sum[g]) +
+                                    static_cast<uint64_t>(v[i]));
+    } else {
+      sum[g] += v[i];
+    }
+    has_value[g] = 1;
+  }
+}
+
+// Strict comparisons, so a tie (including -0.0 vs 0.0) keeps the first
+// value seen.
+template <bool kNulls, bool kMin, typename T>
+void MinMaxInto(const uint32_t* gid, const T* v, const uint8_t* nulls,
+                size_t n, T* best, uint8_t* has_value) {
+  for (size_t i = 0; i < n; ++i) {
+    if (kNulls && nulls[i] != 0) continue;
+    const uint32_t g = gid[i];
+    if (!has_value[g] || (kMin ? v[i] < best[g] : best[g] < v[i])) {
+      best[g] = v[i];
+      has_value[g] = 1;
+    }
+  }
+}
+
+template <bool kNulls, typename T>
+void MinOrMaxInto(bool min, const uint32_t* gid, const T* v,
+                  const uint8_t* nulls, size_t n, T* best,
+                  uint8_t* has_value) {
+  if (min) {
+    MinMaxInto<kNulls, true>(gid, v, nulls, n, best, has_value);
+  } else {
+    MinMaxInto<kNulls, false>(gid, v, nulls, n, best, has_value);
+  }
+}
 
 class HashAggregateOp : public Operator {
  public:
@@ -395,7 +643,24 @@ class HashAggregateOp : public Operator {
         group_by_(std::move(group_by)),
         aggs_(std::move(aggs)),
         mode_(mode),
-        input_types_(input_->OutputTypes()) {}
+        input_types_(input_->OutputTypes()),
+        group_ids_(IntegerKeys(input_types_, group_by_)) {
+    for (int g : group_by_) keys_.columns.emplace_back(input_types_[g]);
+    columns_.resize(aggs_.size());
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      AggColumn& col = columns_[a];
+      col.fn = aggs_[a].fn;
+      // In kFinal mode the agg inputs are the partial-output columns,
+      // laid out right after the group columns.
+      col.input = mode_ == AggMode::kFinal
+                      ? static_cast<int>(group_by_.size() + a)
+                      : aggs_[a].column;
+      col.type = col.input < 0 ? TypeId::kInt64 : input_types_[col.input];
+    }
+    // A global aggregate (no GROUP BY) has exactly one group, so even
+    // zero input rows emit one row of empty aggregates.
+    if (group_by_.empty()) AddGroups(1);
+  }
 
   std::vector<TypeId> OutputTypes() const override {
     std::vector<TypeId> types;
@@ -409,33 +674,28 @@ class HashAggregateOp : public Operator {
   Result<std::optional<Batch>> Next() override {
     if (done_) return std::optional<Batch>();
     done_ = true;
-    SDW_RETURN_IF_ERROR(Accumulate());
+    while (true) {
+      SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->Next());
+      if (!batch.has_value()) break;
+      SDW_RETURN_IF_ERROR(AssignGroups(*batch));
+      for (AggColumn& col : columns_) {
+        SDW_RETURN_IF_ERROR(Accumulate(*batch, &col));
+      }
+    }
     return std::optional<Batch>(Emit());
   }
 
  private:
-  struct Group;
-
-  TypeId AggInputType(size_t a) const {
-    // In kFinal mode the agg inputs are the partial-output columns,
-    // laid out right after the group columns.
-    if (mode_ == AggMode::kFinal) {
-      return input_types_[group_by_.size() + a];
-    }
-    return aggs_[a].column < 0 ? TypeId::kInt64
-                               : input_types_[aggs_[a].column];
-  }
-
   TypeId AggOutputType(size_t a) const {
     switch (aggs_[a].fn) {
       case AggFn::kCount:
         return TypeId::kInt64;
       case AggFn::kSum:
-        return AggInputType(a) == TypeId::kDouble ? TypeId::kDouble
-                                                  : TypeId::kInt64;
+        return columns_[a].type == TypeId::kDouble ? TypeId::kDouble
+                                                   : TypeId::kInt64;
       case AggFn::kMin:
       case AggFn::kMax:
-        return AggInputType(a);
+        return columns_[a].type;
       case AggFn::kApproxDistinct:
         // Partials ship the serialized sketch; single/final emit the
         // cardinality estimate.
@@ -444,190 +704,152 @@ class HashAggregateOp : public Operator {
     return TypeId::kInt64;
   }
 
-  /// True if this batch can go through the type-specialized kernel:
-  /// single null-free integer group key and count/sum aggregates only.
-  /// This is the "tighter execution" a compiled plan buys (§2.1).
-  bool CanFastPath(const Batch& batch) const {
-    if (mode_ == AggMode::kFinal) return false;
-    if (group_by_.size() != 1) return false;
-    const ColumnVector& key = batch.columns[group_by_[0]];
-    if (key.type() == TypeId::kString || key.type() == TypeId::kDouble ||
-        key.has_nulls()) {
-      return false;
-    }
-    for (const AggSpec& spec : aggs_) {
-      if (spec.fn == AggFn::kMin || spec.fn == AggFn::kMax ||
-          spec.fn == AggFn::kApproxDistinct) {
-        return false;
-      }
-      if (spec.column >= 0 &&
-          batch.columns[spec.column].type() == TypeId::kString) {
-        return false;
-      }
-    }
-    return true;
+  void AddGroups(size_t count) {
+    num_groups_ += count;
+    for (AggColumn& col : columns_) col.Resize(num_groups_);
   }
 
-  Status FastAccumulate(const Batch& batch) {
-    const auto& keys = batch.columns[group_by_[0]].ints();
-    const size_t n = keys.size();
-    // Pre-resolve lane pointers per aggregate.
-    struct Lane {
-      AggFn fn;
-      const int64_t* ints = nullptr;
-      const double* doubles = nullptr;
-      const uint8_t* nulls = nullptr;  // null when the column has no NULLs
-    };
-    std::vector<Lane> lanes;
-    lanes.reserve(aggs_.size());
-    for (const AggSpec& spec : aggs_) {
-      Lane lane;
-      lane.fn = spec.fn;
-      if (spec.column >= 0) {
-        const ColumnVector& col = batch.columns[spec.column];
-        if (col.type() == TypeId::kDouble) {
-          lane.doubles = col.doubles().data();
-        } else {
-          lane.ints = col.ints().data();
-        }
-        if (col.has_nulls()) lane.nulls = col.nulls().data();
-      }
-      lanes.push_back(lane);
+  // Maps every row to its dense group id (first-seen order, which is
+  // the emit order) and appends the key of each new group.
+  Status AssignGroups(const Batch& batch) {
+    if (group_by_.empty()) {
+      gids_.assign(batch.num_rows(), 0);
+      return Status::OK();
     }
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t key = keys[i];
-      auto [it, inserted] = fast_groups_.try_emplace(key, nullptr);
-      if (inserted) {
-        // Materialize the group through the generic path once so the
-        // string-keyed map and emit order stay consistent.
-        std::string skey = SerializeKey(batch, group_by_, i);
-        auto [git, gnew] = groups_.try_emplace(std::move(skey));
-        if (gnew) {
-          Group& g = git->second;
-          g.keys.push_back(batch.columns[group_by_[0]].DatumAt(i));
-          g.states.resize(aggs_.size());
-          group_order_.push_back(&*git);
-        }
-        it->second = &git->second;
-      }
-      Group& g = *it->second;
-      for (size_t a = 0; a < lanes.size(); ++a) {
-        const Lane& lane = lanes[a];
-        AggState& s = g.states[a];
-        switch (lane.fn) {
-          case AggFn::kCount:
-            if (lane.ints == nullptr && lane.doubles == nullptr) {
-              ++s.count;  // COUNT(*)
-            } else if (lane.nulls == nullptr || lane.nulls[i] == 0) {
-              ++s.count;
-            }
-            break;
-          case AggFn::kSum:
-            if (lane.nulls != nullptr && lane.nulls[i] != 0) break;
-            if (lane.doubles != nullptr) {
-              s.sum_double += lane.doubles[i];
-            } else {
-              s.sum_int += lane.ints[i];
-              s.sum_double += static_cast<double>(lane.ints[i]);
-            }
-            s.has_value = true;
-            break;
-          case AggFn::kMin:
-          case AggFn::kMax:
-          case AggFn::kApproxDistinct:
-            break;  // excluded by CanFastPath
-        }
+    group_ids_.MapRows<true>(batch, group_by_, &gids_);
+    if (group_ids_.size() == num_groups_) return Status::OK();
+    // New ids were handed out in row order, each at its first row.
+    new_rows_.clear();
+    for (size_t i = 0; i < gids_.size(); ++i) {
+      if (gids_[i] == num_groups_ + new_rows_.size()) {
+        new_rows_.push_back(static_cast<uint32_t>(i));
       }
     }
+    for (size_t k = 0; k < group_by_.size(); ++k) {
+      SDW_RETURN_IF_ERROR(keys_.columns[k].AppendSelected(
+          batch.columns[group_by_[k]], new_rows_));
+    }
+    AddGroups(new_rows_.size());
     return Status::OK();
   }
 
-  Status Accumulate() {
-    while (true) {
-      SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->Next());
-      if (!batch.has_value()) break;
-      if (CanFastPath(*batch)) {
-        SDW_RETURN_IF_ERROR(FastAccumulate(*batch));
-        continue;
-      }
-      const size_t n = batch->num_rows();
-      for (size_t i = 0; i < n; ++i) {
-        std::string key = SerializeKey(*batch, group_by_, i);
-        auto it = groups_.find(key);
-        if (it == groups_.end()) {
-          Group g;
-          g.keys.reserve(group_by_.size());
-          for (int k : group_by_) {
-            g.keys.push_back(batch->columns[k].DatumAt(i));
+  Status Accumulate(const Batch& batch, AggColumn* agg) {
+    const size_t n = batch.num_rows();
+    const uint32_t* gid = gids_.data();
+    if (agg->input < 0) {  // COUNT(*)
+      CountRowsInto<false>(gid, nullptr, n, agg->ints.data());
+      return Status::OK();
+    }
+    const ColumnVector& col = batch.columns[agg->input];
+    if (col.has_nulls()) return AccumulateLane<true>(col, agg);
+    return AccumulateLane<false>(col, agg);
+  }
+
+  template <bool kNulls>
+  Status AccumulateLane(const ColumnVector& col, AggColumn* agg) {
+    const size_t n = col.size();
+    const uint32_t* gid = gids_.data();
+    const uint8_t* nulls = col.nulls().data();
+    switch (agg->fn) {
+      case AggFn::kCount:
+        if (mode_ == AggMode::kFinal) {
+          // Merging partial counts: sum them.
+          const int64_t* v = col.ints().data();
+          for (size_t i = 0; i < n; ++i) {
+            if (kNulls && nulls[i] != 0) continue;
+            agg->ints[gid[i]] += v[i];
           }
-          g.states.resize(aggs_.size());
-          it = groups_.emplace(std::move(key), std::move(g)).first;
-          group_order_.push_back(&*it);
+        } else {
+          CountRowsInto<kNulls>(gid, nulls, n, agg->ints.data());
         }
-        SDW_RETURN_IF_ERROR(Update(&it->second, *batch, i));
+        return Status::OK();
+      case AggFn::kSum:
+        if (col.type() == TypeId::kString) {
+          return Status::InvalidArgument("SUM over a string column");
+        }
+        if (col.type() == TypeId::kDouble) {
+          SumInto<kNulls>(gid, col.doubles().data(), nulls, n,
+                          agg->doubles.data(), agg->has_value.data());
+        } else {
+          SumInto<kNulls>(gid, col.ints().data(), nulls, n, agg->ints.data(),
+                          agg->has_value.data());
+        }
+        return Status::OK();
+      case AggFn::kMin:
+      case AggFn::kMax: {
+        const bool min = agg->fn == AggFn::kMin;
+        if (col.type() == TypeId::kDouble) {
+          MinOrMaxInto<kNulls>(min, gid, col.doubles().data(), nulls, n,
+                               agg->doubles.data(), agg->has_value.data());
+        } else if (col.type() == TypeId::kString) {
+          MinOrMaxInto<kNulls>(min, gid, col.strings().data(), nulls, n,
+                               agg->strings.data(), agg->has_value.data());
+        } else {
+          MinOrMaxInto<kNulls>(min, gid, col.ints().data(), nulls, n,
+                               agg->ints.data(), agg->has_value.data());
+        }
+        return Status::OK();
       }
-    }
-    // A global aggregate (no GROUP BY) over zero rows still emits one
-    // row of empty aggregates in kSingle/kFinal mode.
-    if (group_by_.empty() && groups_.empty()) {
-      Group g;
-      g.states.resize(aggs_.size());
-      auto it = groups_.emplace("", std::move(g)).first;
-      group_order_.push_back(&*it);
+      case AggFn::kApproxDistinct:
+        for (size_t i = 0; i < n; ++i) {
+          if (kNulls && nulls[i] != 0) continue;
+          std::unique_ptr<HyperLogLog>& sketch = agg->sketches[gid[i]];
+          if (!sketch) sketch = std::make_unique<HyperLogLog>();
+          if (mode_ == AggMode::kFinal) {
+            // Partials arrive as serialized sketches: merge them.
+            SDW_ASSIGN_OR_RETURN(HyperLogLog partial,
+                                 HyperLogLog::Deserialize(col.StringAt(i)));
+            SDW_RETURN_IF_ERROR(sketch->Merge(partial));
+          } else {
+            sketch->Add(col.HashAt(i));
+          }
+        }
+        return Status::OK();
     }
     return Status::OK();
   }
-
-  Status Update(Group* g, const Batch& batch, size_t row);
 
   Batch Emit() {
-    Batch out = MakeBatch(OutputTypes());
-    for (auto* entry : group_order_) {
-      Group& g = entry->second;
-      for (size_t k = 0; k < group_by_.size(); ++k) {
-        SDW_CHECK_OK(out.columns[k].AppendDatum(g.keys[k]));
-      }
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        ColumnVector& col = out.columns[group_by_.size() + a];
-        const AggState& s = g.states[a];
-        switch (aggs_[a].fn) {
+    Batch out = std::move(keys_);
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      AggColumn& agg = columns_[a];
+      ColumnVector col(AggOutputType(a));
+      col.Reserve(num_groups_);
+      for (size_t g = 0; g < num_groups_; ++g) {
+        switch (agg.fn) {
           case AggFn::kCount:
-            col.AppendInt(s.count);
+            col.AppendInt(agg.ints[g]);
             break;
           case AggFn::kSum:
-            if (!s.has_value) {
-              col.AppendNull();
-            } else if (col.type() == TypeId::kDouble) {
-              col.AppendDouble(s.sum_double);
-            } else {
-              col.AppendInt(s.sum_int);
-            }
-            break;
           case AggFn::kMin:
-            SDW_CHECK_OK(col.AppendDatum(s.has_value ? s.min : Datum::Null()));
-            break;
           case AggFn::kMax:
-            SDW_CHECK_OK(col.AppendDatum(s.has_value ? s.max : Datum::Null()));
-            break;
-          case AggFn::kApproxDistinct:
-            if (mode_ == AggMode::kPartial) {
-              col.AppendString(g.states[a].Sketch()->Serialize());
+            if (!agg.has_value[g]) {
+              col.AppendNull();
+            } else if (agg.type == TypeId::kDouble) {
+              col.AppendDouble(agg.doubles[g]);
+            } else if (agg.type == TypeId::kString) {
+              col.AppendString(std::move(agg.strings[g]));
             } else {
-              col.AppendInt(s.hll == nullptr
-                                ? 0
-                                : static_cast<int64_t>(s.hll->Estimate()));
+              col.AppendInt(agg.ints[g]);
             }
             break;
+          case AggFn::kApproxDistinct: {
+            const std::unique_ptr<HyperLogLog>& sketch = agg.sketches[g];
+            if (mode_ == AggMode::kPartial) {
+              col.AppendString(sketch ? sketch->Serialize()
+                                      : HyperLogLog().Serialize());
+            } else {
+              col.AppendInt(
+                  sketch ? static_cast<int64_t>(sketch->Estimate()) : 0);
+            }
+            break;
+          }
         }
       }
+      out.columns.push_back(std::move(col));
     }
     return out;
   }
-
-  struct Group {
-    std::vector<Datum> keys;
-    std::vector<AggState> states;
-  };
 
   OperatorPtr input_;
   std::vector<int> group_by_;
@@ -635,80 +857,15 @@ class HashAggregateOp : public Operator {
   AggMode mode_;
   std::vector<TypeId> input_types_;
   bool done_ = false;
-  std::unordered_map<std::string, Group> groups_;
-  std::vector<std::pair<const std::string, Group>*> group_order_;
-  /// Fast-path index: integer group key -> group (pointers are stable
-  /// because unordered_map is node-based).
-  std::unordered_map<int64_t, Group*> fast_groups_;
+  KeyIds group_ids_;
+  size_t num_groups_ = 0;
+  // Group key columns, one row per group id.
+  Batch keys_;
+  std::vector<AggColumn> columns_;
+  // Per batch: each row's group id, and the rows that opened a group.
+  std::vector<uint32_t> gids_;
+  std::vector<uint32_t> new_rows_;
 };
-
-Status HashAggregateOp::Update(Group* g, const Batch& batch, size_t row) {
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    AggState& s = g->states[a];
-    const AggSpec& spec = aggs_[a];
-    // Input column for this agg.
-    int col_idx;
-    if (mode_ == AggMode::kFinal) {
-      col_idx = static_cast<int>(group_by_.size() + a);
-    } else {
-      col_idx = spec.column;
-    }
-    if (spec.fn == AggFn::kCount) {
-      if (mode_ == AggMode::kFinal) {
-        // Merging partial counts: sum them.
-        const ColumnVector& col = batch.columns[col_idx];
-        if (!col.IsNull(row)) s.count += col.IntAt(row);
-      } else if (col_idx < 0) {
-        ++s.count;  // COUNT(*)
-      } else {
-        if (!batch.columns[col_idx].IsNull(row)) ++s.count;
-      }
-      continue;
-    }
-    const ColumnVector& col = batch.columns[col_idx];
-    if (col.IsNull(row)) continue;
-    if (spec.fn == AggFn::kApproxDistinct) {
-      if (mode_ == AggMode::kFinal) {
-        // Partials arrive as serialized sketches: merge them.
-        SDW_ASSIGN_OR_RETURN(HyperLogLog partial,
-                             HyperLogLog::Deserialize(col.StringAt(row)));
-        SDW_RETURN_IF_ERROR(s.Sketch()->Merge(partial));
-      } else {
-        s.Sketch()->Add(col.DatumAt(row).Hash());
-      }
-      continue;
-    }
-    switch (spec.fn) {
-      case AggFn::kSum:
-        if (col.type() == TypeId::kDouble) {
-          s.sum_double += col.DoubleAt(row);
-        } else {
-          s.sum_int += col.IntAt(row);
-          s.sum_double += static_cast<double>(col.IntAt(row));
-        }
-        s.has_value = true;
-        break;
-      case AggFn::kMin: {
-        Datum v = col.DatumAt(row);
-        if (!s.has_value || v < s.min) s.min = v;
-        if (!s.has_value || s.max < v) s.max = v;
-        s.has_value = true;
-        break;
-      }
-      case AggFn::kMax: {
-        Datum v = col.DatumAt(row);
-        if (!s.has_value || v < s.min) s.min = v;
-        if (!s.has_value || s.max < v) s.max = v;
-        s.has_value = true;
-        break;
-      }
-      case AggFn::kCount:
-      case AggFn::kApproxDistinct:
-        break;  // handled above
-    }
-  }
-  return Status::OK();
-}
 
 // ---------------------------------------------------------------------------
 // Sort

@@ -144,7 +144,10 @@ class RowAggregateOp : public RowOperator {
               s.sum += v.double_value();
               s.sum_is_double = true;
             } else {
-              s.sum_int += v.int_value();
+              // Wraps (two's complement) rather than overflowing.
+              s.sum_int = static_cast<int64_t>(
+                  static_cast<uint64_t>(s.sum_int) +
+                  static_cast<uint64_t>(v.int_value()));
             }
             s.has_value = true;
             break;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "catalog/types.h"
@@ -43,6 +45,36 @@ TEST(DatumTest, HashConsistentWithEquality) {
   EXPECT_EQ(Datum::String("abc").Hash(), Datum::String("abc").Hash());
   EXPECT_NE(Datum::Int64(1).Hash(), Datum::Int64(2).Hash());
   EXPECT_EQ(Datum::Double(0.0).Hash(), Datum::Double(-0.0).Hash());
+}
+
+TEST(ColumnVectorTest, HashAtEqualsDatumHash) {
+  // Shuffle routing hashes lanes with HashAt; rows must land on the
+  // slice Datum::Hash would pick, for every type and lane quirk.
+  const std::vector<int64_t> ints = {0, 1, -1, 2, -7, 1LL << 40,
+                                     std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max()};
+  for (TypeId type : {TypeId::kBool, TypeId::kInt32, TypeId::kInt64,
+                      TypeId::kDate, TypeId::kDouble, TypeId::kString}) {
+    ColumnVector v(type);
+    v.AppendNull();
+    for (int64_t x : ints) {
+      if (type == TypeId::kDouble) {
+        v.AppendDouble(static_cast<double>(x) / 3);
+      } else if (type == TypeId::kString) {
+        v.AppendString(std::to_string(x));
+      } else {
+        v.AppendInt(x);
+      }
+    }
+    if (type == TypeId::kDouble) {
+      v.AppendDouble(-0.0);
+      v.AppendDouble(0.0);
+    }
+    for (size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(v.HashAt(i), v.DatumAt(i).Hash())
+          << TypeName(type) << " row " << i;
+    }
+  }
 }
 
 TEST(DatumTest, ToStringRendersSqlish) {

@@ -107,14 +107,35 @@ plan::LogicalQuery RandomQuery(Rng* rng, bool allow_join) {
     q.join_left = {"fact", "k"};
     q.join_right = {"dim", "id"};
   }
-  // WHERE: 0-2 conjuncts on fact int columns.
+  // WHERE: 0-2 conjuncts on fact int columns: comparisons, BETWEEN
+  // (two narrowing passes of the filter) and IN (an OR of equalities,
+  // the mask fallback).
   const char* fact_cols[] = {"k", "a", "b"};
   const int nconj = static_cast<int>(rng->Uniform(3));
   for (int c = 0; c < nconj; ++c) {
     plan::Selection sel;
     sel.column = {"fact", fact_cols[rng->Uniform(3)]};
-    sel.op = static_cast<plan::LogicalCmp>(rng->Uniform(6));
-    sel.literal = Datum::Int64(rng->UniformRange(-10, 60));
+    switch (rng->Uniform(4)) {
+      case 0: {
+        sel.kind = plan::Selection::Kind::kBetween;
+        const int64_t lo = rng->UniformRange(-10, 50);
+        sel.literal = Datum::Int64(lo);
+        sel.literal2 = Datum::Int64(lo + rng->UniformRange(0, 25));
+        break;
+      }
+      case 1: {
+        sel.kind = plan::Selection::Kind::kIn;
+        const int values = 1 + static_cast<int>(rng->Uniform(4));
+        for (int v = 0; v < values; ++v) {
+          sel.in_list.push_back(Datum::Int64(rng->UniformRange(-10, 60)));
+        }
+        break;
+      }
+      default:
+        sel.op = static_cast<plan::LogicalCmp>(rng->Uniform(6));
+        sel.literal = Datum::Int64(rng->UniformRange(-10, 60));
+        break;
+    }
     q.where.push_back(sel);
   }
   // GROUP BY one column + a batch of aggregates, or plain projection.
@@ -130,7 +151,11 @@ plan::LogicalQuery RandomQuery(Rng* rng, bool allow_join) {
                 {plan::LogicalAggFn::kMin, {"fact", "b"}, "lo"},
                 {plan::LogicalAggFn::kMax, {"fact", "x"}, "hi"},
                 {plan::LogicalAggFn::kAvg, {"fact", "x"}, "mean"},
-                {plan::LogicalAggFn::kCount, {"fact", "a"}, "na"}};
+                {plan::LogicalAggFn::kCount, {"fact", "a"}, "na"},
+                // `a` is nullable: NULL lanes in the typed loops.
+                {plan::LogicalAggFn::kMin, {"fact", "a"}, "alo"},
+                {plan::LogicalAggFn::kMax, {"fact", "a"}, "ahi"},
+                {plan::LogicalAggFn::kSum, {"fact", "a"}, "sa"}};
     q.order_by = {{0, false}};
   } else {
     q.select = {{plan::LogicalAggFn::kNone, {"fact", "k"}, ""},

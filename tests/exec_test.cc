@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "common/random.h"
 #include "exec/expr.h"
@@ -404,6 +406,69 @@ TEST(RowExecutorTest, MatchesVectorizedPipeline) {
     EXPECT_EQ(vec_out->columns[1].IntAt(i), row_out->columns[1].IntAt(i));
     EXPECT_NEAR(vec_out->columns[2].DoubleAt(i),
                 row_out->columns[2].DoubleAt(i), 1e-6);
+  }
+}
+
+TEST(RowExecutorTest, IntegerSumWrapsIdenticallyInBothEngines) {
+  // Values near INT64_MAX: each group's SUM wraps several times. Both
+  // engines, and the partial -> final merge, wrap in two's complement.
+  storage::BlockStore store;
+  storage::StorageOptions opts;
+  opts.max_rows_per_block = 64;
+  storage::TableShard shard(
+      TableSchema("t", {{"g", TypeId::kInt64}, {"v", TypeId::kInt64}}), opts,
+      &store);
+  ColumnVector g(TypeId::kInt64);
+  ColumnVector v(TypeId::kInt64);
+  uint64_t expected[2] = {0, 0};
+  for (int64_t i = 0; i < 300; ++i) {
+    const int64_t value = std::numeric_limits<int64_t>::max() - i;
+    g.AppendInt(i % 2);
+    v.AppendInt(value);
+    expected[i % 2] += static_cast<uint64_t>(value);
+  }
+  std::vector<ColumnVector> run;
+  run.push_back(std::move(g));
+  run.push_back(std::move(v));
+  ASSERT_TRUE(shard.Append(run).ok());
+  const std::vector<AggSpec> aggs = {{AggFn::kSum, 1}};
+
+  auto compiled = Collect(Sort(HashAggregate(ShardScan(&shard, {0, 1}), {0},
+                                             aggs),
+                               {{0, false}})
+                              .get());
+  ASSERT_TRUE(compiled.ok());
+  // Two "slices" over halves of the rows, merged at the leader.
+  std::vector<Batch> partials;
+  for (int half = 0; half < 2; ++half) {
+    auto scan = Filter(
+        ShardScan(&shard, {0, 1}),
+        Cmp(half == 0 ? CmpOp::kGt : CmpOp::kLe, Col(1, TypeId::kInt64),
+            Lit(Datum::Int64(std::numeric_limits<int64_t>::max() - 150))));
+    auto partial = Collect(
+        HashAggregate(std::move(scan), {0}, aggs, AggMode::kPartial).get());
+    ASSERT_TRUE(partial.ok());
+    partials.push_back(std::move(*partial));
+  }
+  auto partial_types = partials[0].Types();
+  auto merged = Collect(
+      Sort(HashAggregate(MemoryScan(partial_types, std::move(partials)), {0},
+                         aggs, AggMode::kFinal),
+           {{0, false}})
+          .get());
+  ASSERT_TRUE(merged.ok());
+  auto row_pipe = RowAggregate(RowScan(&shard, {0, 1}), {0}, aggs);
+  auto interpreted =
+      CollectRows(row_pipe.get(), {TypeId::kInt64, TypeId::kInt64});
+  ASSERT_TRUE(interpreted.ok());
+
+  for (const Batch* out : {&*compiled, &*merged, &*interpreted}) {
+    ASSERT_EQ(out->num_rows(), 2u);
+    for (size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(out->columns[0].IntAt(r), static_cast<int64_t>(r));
+      EXPECT_EQ(out->columns[1].IntAt(r),
+                static_cast<int64_t>(expected[r]));
+    }
   }
 }
 
