@@ -91,9 +91,12 @@ int main() {
       shard->ResetCounters();
       uint64_t matched = 0;
       double seconds = benchutil::TimeIt([&] {
-        for (const auto& range :
-             shard->CandidateRanges({pred})) {
-          auto cols = shard->ReadRange({0}, range);
+        // One cursor, as a scan reads: a block shared by two candidate
+        // ranges is decoded once.
+        const sdw::storage::ShardSnapshot version = shard->Snapshot();
+        sdw::storage::ReadCursor cursor;
+        for (const auto& range : shard->CandidateRanges(*version, {pred})) {
+          auto cols = shard->ReadRange(*version, {0}, range, &cursor);
           SDW_CHECK(cols.ok());
           for (size_t i = 0; i < (*cols)[0].size(); ++i) {
             int64_t value = (*cols)[0].IntAt(i);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
@@ -85,15 +86,26 @@ std::unique_ptr<TableShard> Build(BlockStore* store, sdw::SortStyle style) {
   return shard;
 }
 
+/// Blocks of column `column` decoded by a scan under `predicates`: one
+/// cursor, as a scan reads, so a block two candidate ranges share is
+/// decoded once.
+uint64_t BlocksDecoded(TableShard* shard,
+                       const std::vector<RangePredicate>& predicates,
+                       int column) {
+  shard->ResetCounters();
+  const sdw::storage::ShardSnapshot version = shard->Snapshot();
+  sdw::storage::ReadCursor cursor;
+  for (const auto& range : shard->CandidateRanges(*version, predicates)) {
+    SDW_CHECK(shard->ReadRange(*version, {column}, range, &cursor).ok());
+  }
+  return shard->blocks_decoded();
+}
+
 /// Blocks decoded for a selective range predicate on one dimension.
 uint64_t BlocksFor(TableShard* shard, int dim, int64_t width) {
   RangePredicate pred{dim, sdw::Datum::Int64(100),
                       sdw::Datum::Int64(100 + width - 1)};
-  shard->ResetCounters();
-  for (const auto& range : shard->CandidateRanges({pred})) {
-    SDW_CHECK(shard->ReadRange({dim}, range).ok());
-  }
-  return shard->blocks_decoded();
+  return BlocksDecoded(shard, {pred}, dim);
 }
 
 }  // namespace
@@ -139,11 +151,7 @@ int main() {
                       sdw::Datum::Int64(100 + kWidth - 1)};
     RangePredicate p2{d2, sdw::Datum::Int64(100),
                       sdw::Datum::Int64(100 + kWidth - 1)};
-    shard->ResetCounters();
-    for (const auto& range : shard->CandidateRanges({p1, p2})) {
-      SDW_CHECK(shard->ReadRange({d1}, range).ok());
-    }
-    return shard->blocks_decoded();
+    return BlocksDecoded(shard, {p1, p2}, d1);
   };
   for (auto [d1, d2] : {std::pair{0, 1}, {1, 2}, {2, 3}}) {
     std::printf("%9sd%d&d%d  %12llu  %12llu\n", "", d1, d2,

@@ -185,7 +185,6 @@ Result<Bytes> Cluster::FaultRead(int node, storage::BlockId id) {
   if (page_fault) {
     auto paged = page_fault(id);
     if (paged.ok()) {
-      s3_fault_reads_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter* s3_faults =
           obs::Registry::Global().counter("sdw_cluster_s3_fault_reads");
       s3_faults->Add();

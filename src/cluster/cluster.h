@@ -316,10 +316,6 @@ class Cluster {
   uint64_t masked_reads() const {
     return masked_reads_.load(std::memory_order_relaxed);
   }
-  /// Reads that fell through to the page-fault (S3) path.
-  uint64_t s3_fault_reads() const {
-    return s3_fault_reads_.load(std::memory_order_relaxed);
-  }
   /// Local read failures observed on a node since the last reset — the
   /// health signal the warehouse sweep thresholds on.
   uint64_t node_read_failures(int node) const {
@@ -369,7 +365,6 @@ class Cluster {
   std::atomic<bool> read_only_{false};
   std::atomic<uint64_t> network_bytes_{0};
   std::atomic<uint64_t> masked_reads_{0};
-  std::atomic<uint64_t> s3_fault_reads_{0};
   std::vector<std::atomic<uint64_t>> node_read_failures_;
 };
 

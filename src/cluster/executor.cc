@@ -130,28 +130,6 @@ Result<std::vector<TypeId>> ScanOutputTypes(Cluster* cluster,
   return types;
 }
 
-uint64_t SumBlocksDecoded(Cluster* cluster) {
-  uint64_t total = 0;
-  for (const std::string& table : cluster->catalog()->TableNames()) {
-    for (int s = 0; s < cluster->total_slices(); ++s) {
-      // shard_ref: holding the shared_ptr keeps the shard alive even if
-      // a concurrent DROP gets it garbage-collected mid-iteration.
-      auto shard = cluster->shard_ref(s, table);
-      if (shard.ok()) total += (*shard)->blocks_decoded();
-    }
-  }
-  return total;
-}
-
-void ResetBlockCounters(Cluster* cluster) {
-  for (const std::string& table : cluster->catalog()->TableNames()) {
-    for (int s = 0; s < cluster->total_slices(); ++s) {
-      auto shard = cluster->shard_ref(s, table);
-      if (shard.ok()) (*shard)->ResetCounters();
-    }
-  }
-}
-
 /// Deep-copies a batch (broadcast copies per slice).
 exec::Batch CopyBatch(const exec::Batch& batch) {
   exec::Batch out = exec::MakeBatch(batch.Types());
@@ -561,13 +539,6 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
     SDW_RETURN_IF_ERROR(cluster_->PinTables(tables, pinned.get()));
     snapshot = std::move(pinned);
   }
-  ResetBlockCounters(cluster_);
-  // Masking counters are cumulative and cluster-wide, so the delta
-  // double-counts when two executors interleave on one cluster. It is
-  // only the fallback for untraced runs; traced runs report per-query
-  // span sums instead.
-  const uint64_t masked_before = cluster_->masked_reads();
-  const uint64_t s3_faults_before = cluster_->s3_fault_reads();
   if (options_.mode == ExecutionMode::kCompiled) {
     stats.compile_seconds =
         options_.segment_cache_hit ? 0.0 : options_.compile_seconds;
@@ -638,10 +609,6 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
     stats.blocks_decoded = total.blocks_decoded;
     stats.masked_reads = total.masked_reads;
     stats.s3_fault_reads = total.s3_fault_reads;
-  } else {
-    stats.blocks_decoded = SumBlocksDecoded(cluster_);
-    stats.masked_reads = cluster_->masked_reads() - masked_before;
-    stats.s3_fault_reads = cluster_->s3_fault_reads() - s3_faults_before;
   }
   cluster_->AddNetworkBytes(stats.network_bytes);
   result.column_names = query.output_names;

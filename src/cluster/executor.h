@@ -34,7 +34,9 @@ struct ExecOptions {
   int pool_size = -1;
   /// Record a per-query trace (span tree with deterministic virtual
   /// timestamps) on QueryResult::trace. On by default; benches turn it
-  /// off to measure instrumentation overhead.
+  /// off to measure instrumentation overhead. The per-query work
+  /// counters (ExecStats::blocks_decoded, masked_reads, s3_fault_reads)
+  /// are summed from the trace's spans, so with trace off they read 0.
   bool trace = true;
   /// The plan came from the warehouse's compiled-segment cache: the
   /// per-query compile_seconds charge is skipped (the segments already

@@ -86,7 +86,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kWarehouseVersions: return "kWarehouseVersions";
     case LockRank::kQueryCache: return "kQueryCache";
     case LockRank::kCatalog: return "kCatalog";
-    case LockRank::kShardDecodeCache: return "kShardDecodeCache";
     case LockRank::kClusterRouting: return "kClusterRouting";
     case LockRank::kComputeNode: return "kComputeNode";
     case LockRank::kShardHead: return "kShardHead";

@@ -35,12 +35,11 @@ enum class LockRank : int {
   kCatalog = 250,            // Catalog::mu_
 
   // ---- data plane ----
-  kShardDecodeCache = 300,  // TableShard::cache_mu_ (held across store Get)
-  kClusterRouting = 350,    // Cluster::mu_
-  kComputeNode = 400,       // ComputeNode::mu_
-  kShardHead = 450,         // TableShard::head_mu_
-  kReplication = 500,       // ReplicationManager::mu_
-  kBlockStore = 550,        // BlockStore::mu_
+  kClusterRouting = 350,  // Cluster::mu_
+  kComputeNode = 400,     // ComputeNode::mu_
+  kShardHead = 450,       // TableShard::head_mu_
+  kReplication = 500,     // ReplicationManager::mu_
+  kBlockStore = 550,      // BlockStore::mu_
 
   // ---- durability / backup / security ----
   kCommitLog = 580,   // durability::CommitLog::mu_ (held across S3 ops)

@@ -278,7 +278,8 @@ class ShardScanOp : public Operator {
       offset_ += end - begin;
       SDW_ASSIGN_OR_RETURN(
           std::vector<ColumnVector> cols,
-          ref_.shard->ReadRange(*ref_.version, columns_, {begin, end}));
+          ref_.shard->ReadRange(*ref_.version, columns_, {begin, end},
+                                &cursor_));
       if (options_.telemetry != nullptr) {
         options_.telemetry->rows_scanned += end - begin;
       }
@@ -296,7 +297,7 @@ class ShardScanOp : public Operator {
   // Counts, per projected column chain, the blocks overlapping a
   // candidate range (they will be decoded) vs the rest (zone-map
   // skipped). Pure metadata walk over the immutable version — the same
-  // numbers on every run, whatever the decode cache holds.
+  // numbers on every run; the cursor decodes each counted block once.
   void RecordStaticTelemetry() {
     ScanTelemetry* t = options_.telemetry;
     for (int c : columns_) {
@@ -326,6 +327,7 @@ class ShardScanOp : public Operator {
   std::vector<storage::RowRange> ranges_;
   size_t range_index_ = 0;
   uint64_t offset_ = 0;
+  storage::ReadCursor cursor_;
 };
 
 // ---------------------------------------------------------------------------

@@ -40,8 +40,9 @@ OperatorPtr MemoryScan(std::vector<TypeId> types, std::vector<Batch> batches);
 /// Per-scan telemetry filled by ShardScan (and CountRows for rows_out).
 /// Block and byte counts are computed statically at operator
 /// construction from the pinned version's chain metadata and the
-/// zone-map candidate ranges — deterministic regardless of decode-cache
-/// state or scheduling; rows_scanned accumulates as batches decode.
+/// zone-map candidate ranges — deterministic regardless of scheduling,
+/// and equal to the blocks the scan decodes (its cursor decodes each
+/// once); rows_scanned accumulates as batches decode.
 struct ScanTelemetry {
   uint64_t rows_scanned = 0;
   uint64_t rows_out = 0;

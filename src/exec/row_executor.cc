@@ -1,7 +1,8 @@
 #include "exec/row_executor.h"
 
-#include <map>
+#include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "exec/hll.h"
@@ -22,7 +23,8 @@ class RowScanOp : public RowOperator {
       const uint64_t end = std::min<uint64_t>(rows, next_row_ + 4096);
       SDW_ASSIGN_OR_RETURN(
           std::vector<ColumnVector> cols,
-          ref_.shard->ReadRange(*ref_.version, columns_, {next_row_, end}));
+          ref_.shard->ReadRange(*ref_.version, columns_, {next_row_, end},
+                                &cursor_));
       batch_.columns = std::move(cols);
       next_row_ = end;
       row_in_batch_ = 0;
@@ -33,6 +35,7 @@ class RowScanOp : public RowOperator {
  private:
   storage::ShardRef ref_;
   std::vector<int> columns_;
+  storage::ReadCursor cursor_;
   Batch batch_;
   uint64_t next_row_ = 0;
   size_t row_in_batch_ = 0;
@@ -108,29 +111,46 @@ class RowAggregateOp : public RowOperator {
     std::unique_ptr<HyperLogLog> hll;
   };
 
+  // Appends `d`'s exact group identity to `key`: a type tag, then the
+  // int64, the double's bits (-0.0 folded into 0.0, as the compiled
+  // engine groups) or the length-prefixed string.
+  static void AppendGroupKey(const Datum& d, std::string* key) {
+    if (d.is_null()) {
+      key->push_back('n');
+      return;
+    }
+    const bool is_string = d.type() == TypeId::kString;
+    int64_t bits = is_string ? static_cast<int64_t>(d.string_value().size())
+                             : d.int_value();
+    if (d.type() == TypeId::kDouble) {
+      const double v = d.double_value() == 0.0 ? 0.0 : d.double_value();
+      std::memcpy(&bits, &v, sizeof(bits));
+    }
+    key->push_back(is_string ? 's' : d.type() == TypeId::kDouble ? 'd' : 'i');
+    key->append(reinterpret_cast<const char*>(&bits), sizeof(bits));
+    if (is_string) key->append(d.string_value());
+  }
+
   Status Accumulate() {
-    // Key by rendered datums (ordered map keeps deterministic output).
-    std::map<std::string, std::pair<Row, std::vector<State>>> groups;
+    // Groups in first-seen order, keyed by exact value.
+    std::unordered_map<std::string, size_t> index;
+    std::vector<std::pair<Row, std::vector<State>>> groups;
+    std::string key;
     while (true) {
       SDW_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
       if (!row.has_value()) break;
-      std::string key;
-      Row key_row;
-      for (int g : group_by_) {
-        key += (*row)[g].ToString();
-        key.push_back('\x1f');
-        key_row.push_back((*row)[g]);
+      key.clear();
+      for (int g : group_by_) AppendGroupKey((*row)[g], &key);
+      auto [it, inserted] = index.try_emplace(key, groups.size());
+      if (inserted) {
+        Row key_row;
+        for (int g : group_by_) key_row.push_back((*row)[g]);
+        groups.emplace_back(std::move(key_row),
+                            std::vector<State>(aggs_.size()));
       }
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups
-                 .emplace(std::move(key),
-                          std::make_pair(std::move(key_row),
-                                         std::vector<State>(aggs_.size())))
-                 .first;
-      }
+      std::vector<State>& states = groups[it->second].second;
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        State& s = it->second.second[a];
+        State& s = states[a];
         const AggSpec& spec = aggs_[a];
         if (spec.fn == AggFn::kCount) {
           if (spec.column < 0 || !(*row)[spec.column].is_null()) ++s.count;
@@ -167,9 +187,9 @@ class RowAggregateOp : public RowOperator {
       }
     }
     if (group_by_.empty() && groups.empty()) {
-      groups.emplace("", std::make_pair(Row{}, std::vector<State>(aggs_.size())));
+      groups.emplace_back(Row{}, std::vector<State>(aggs_.size()));
     }
-    for (auto& [_, entry] : groups) {
+    for (auto& entry : groups) {
       Row out = std::move(entry.first);
       for (size_t a = 0; a < aggs_.size(); ++a) {
         const State& s = entry.second[a];

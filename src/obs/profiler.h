@@ -18,8 +18,8 @@ namespace sdw::obs {
 
 /// One scan operator's telemetry as recorded in stl_scan. Every field is
 /// derived from immutable version metadata (block boundaries, zone maps)
-/// and deterministic row counts, never from decode-cache state or wall
-/// time, so serial and pooled runs log byte-identical rows.
+/// and deterministic row counts, never from wall time, so serial and
+/// pooled runs log byte-identical rows.
 struct ScanRecord {
   int scan_id = 0;
   int query_id = 0;

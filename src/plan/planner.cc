@@ -393,6 +393,12 @@ Result<PhysicalQuery> Planner::Plan(const LogicalQuery& query) const {
         slots.push_back(slot);
         continue;
       }
+      if ((sb.agg == LogicalAggFn::kSum || sb.agg == LogicalAggFn::kAvg) &&
+          pipeline_type(sb.bound) == TypeId::kString) {
+        return Status::InvalidArgument(
+            std::string(sb.agg == LogicalAggFn::kSum ? "SUM" : "AVG") +
+            " over a VARCHAR column");
+      }
       auto add_agg = [&](exec::AggFn fn, int column, TypeId in_type) {
         agg.aggs.push_back({fn, column});
         return std::make_pair(

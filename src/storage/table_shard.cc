@@ -259,27 +259,37 @@ std::vector<RowRange> TableShard::CandidateRanges(
 
 Result<std::vector<ColumnVector>> TableShard::ReadRange(
     const ShardVersion& version, const std::vector<int>& columns,
-    const RowRange& range) {
+    const RowRange& range, ReadCursor* cursor) {
   if (range.end > version.row_count || range.begin > range.end) {
     return Status::OutOfRange("ReadRange outside shard");
   }
+  ReadCursor call_cursor;
+  if (cursor == nullptr) cursor = &call_cursor;
+  cursor->last.resize(columns.size());
   std::vector<ColumnVector> out;
   out.reserve(columns.size());
-  for (int c : columns) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const int c = columns[i];
     if (c < 0 || static_cast<size_t>(c) >= version.chains.size()) {
       return Status::InvalidArgument("bad column index");
     }
     ColumnVector result(schema_.column(c).type);
     result.Reserve(range.size());
+    ReadCursor::Decoded& last = cursor->last[i];
     for (const BlockMeta& block : version.chains[c]) {
       const uint64_t block_end = block.first_row + block.row_count;
       if (block_end <= range.begin || block.first_row >= range.end) continue;
-      SDW_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnVector> decoded,
-                           DecodeBlock(block, result.type()));
+      if (!last.values.has_value() || last.id != block.id) {
+        last.values.reset();
+        SDW_ASSIGN_OR_RETURN(ColumnVector decoded,
+                             DecodeBlock(block, result.type()));
+        last.id = block.id;
+        last.values = std::move(decoded);
+      }
       const uint64_t lo = std::max(range.begin, block.first_row);
       const uint64_t hi = std::min(range.end, block_end);
       SDW_RETURN_IF_ERROR(result.AppendRange(
-          *decoded, lo - block.first_row, hi - block.first_row));
+          *last.values, lo - block.first_row, hi - block.first_row));
     }
     if (result.size() != range.size()) {
       return Status::Corruption("chain did not cover requested range");
@@ -294,11 +304,8 @@ Result<std::vector<ColumnVector>> TableShard::ReadAll(
   return ReadRange(version, columns, {0, version.row_count});
 }
 
-Result<std::shared_ptr<const ColumnVector>> TableShard::DecodeBlock(
-    const BlockMeta& meta, TypeId type) {
-  common::MutexLock lock(cache_mu_);
-  auto it = decode_cache_.find(meta.id);
-  if (it != decode_cache_.end()) return it->second;
+Result<ColumnVector> TableShard::DecodeBlock(const BlockMeta& meta,
+                                             TypeId type) {
   SDW_ASSIGN_OR_RETURN(Bytes data, store_->Get(meta.id));
   SDW_ASSIGN_OR_RETURN(ColumnVector decoded,
                        compress::DecodeColumn(meta.encoding, type, data));
@@ -310,16 +317,7 @@ Result<std::shared_ptr<const ColumnVector>> TableShard::DecodeBlock(
   if (obs::SpanCounters* span = obs::CurrentSpanCounters()) {
     ++span->blocks_decoded;
   }
-  auto shared = std::make_shared<const ColumnVector>(std::move(decoded));
-  // FIFO eviction keeps memory bounded even for huge scans.
-  constexpr size_t kCacheCapacity = 64;
-  if (cache_order_.size() >= kCacheCapacity) {
-    decode_cache_.erase(cache_order_.front());
-    cache_order_.erase(cache_order_.begin());
-  }
-  decode_cache_[meta.id] = shared;
-  cache_order_.push_back(meta.id);
-  return shared;
+  return decoded;
 }
 
 Result<std::shared_ptr<ShardVersion>> TableShard::BuildVersion(

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -77,11 +77,24 @@ using ShardSnapshot = std::shared_ptr<const ShardVersion>;
 class TableShard;
 
 /// A pinned (shard, version) pair — what a snapshot reader actually
-/// scans. The shard pointer keeps the decode cache + store wiring
-/// alive across DROP TABLE; the version pins the chains.
+/// scans. The shard pointer keeps the store wiring alive across DROP
+/// TABLE; the version pins the chains.
 struct ShardRef {
   std::shared_ptr<TableShard> shard;
   ShardSnapshot version;
+};
+
+/// One reader's decoded blocks: for each position of ReadRange's column
+/// list, the block it decoded last. A scan reads ascending ranges, so a
+/// block spanning several of its batches is decoded once. Owned by one
+/// reader (never shared between threads or scans); a block is reused
+/// only on an exact id match, so a stale entry is merely decoded anew.
+struct ReadCursor {
+  struct Decoded {
+    BlockId id = 0;
+    std::optional<ColumnVector> values;
+  };
+  std::vector<Decoded> last;
 };
 
 /// One slice's portion of one table: per-column chains of encoded,
@@ -188,10 +201,12 @@ class TableShard {
 
   /// Materializes the requested columns for a row range of `version`.
   /// Decodes every block overlapping the range (per-column chains are
-  /// block-aligned independently).
+  /// block-aligned independently), except one already in `cursor`.
+  /// Without a cursor every call decodes afresh. Reads take no lock.
   Result<std::vector<ColumnVector>> ReadRange(const ShardVersion& version,
                                               const std::vector<int>& columns,
-                                              const RowRange& range);
+                                              const RowRange& range,
+                                              ReadCursor* cursor = nullptr);
 
   /// Materializes whole columns of `version`.
   Result<std::vector<ColumnVector>> ReadAll(const ShardVersion& version,
@@ -216,18 +231,12 @@ class TableShard {
   std::vector<BlockId> AllBlockIds() const;
 
   /// Blocks decoded by ReadRange since the last ResetCounters (the
-  /// block-skipping bench's measured quantity). Cached decodes do not
-  /// count; ResetCounters also drops the cache so measurements start
-  /// cold.
+  /// block-skipping bench's measured quantity). Blocks a cursor reuses
+  /// do not count.
   uint64_t blocks_decoded() const {
     return blocks_decoded_.load(std::memory_order_relaxed);
   }
-  void ResetCounters() SDW_EXCLUDES(cache_mu_) {
-    common::MutexLock lock(cache_mu_);
-    blocks_decoded_.store(0, std::memory_order_relaxed);
-    decode_cache_.clear();
-    cache_order_.clear();
-  }
+  void ResetCounters() { blocks_decoded_.store(0, std::memory_order_relaxed); }
 
  private:
   /// Appends one column run to `chain`, splitting into blocks and
@@ -242,10 +251,8 @@ class TableShard {
   Result<std::shared_ptr<ShardVersion>> BuildVersion(
       std::vector<std::vector<BlockMeta>> chains, uint64_t version) const;
 
-  /// Reads + decodes one block, serving repeat reads from a small FIFO
-  /// cache (scans pull overlapping blocks once, not once per batch).
-  Result<std::shared_ptr<const ColumnVector>> DecodeBlock(
-      const BlockMeta& meta, TypeId type) SDW_EXCLUDES(cache_mu_);
+  /// Reads + decodes one block and counts it.
+  Result<ColumnVector> DecodeBlock(const BlockMeta& meta, TypeId type);
 
   /// Estimated raw width of one value of the column, for block sizing.
   static size_t EstimateWidth(const ColumnVector& values);
@@ -270,19 +277,7 @@ class TableShard {
   ShardSnapshot head_ SDW_GUARDED_BY(head_mu_);
   std::deque<Retired> retired_ SDW_GUARDED_BY(head_mu_);
 
-  /// The decode cache and its FIFO order are the only shard state
-  /// mutated by reads, so they carry the shard's read-path lock.
-  /// Holding the lock across the whole decode (including the store
-  /// Get) keeps blocks_decoded_ deterministic under concurrency (no
-  /// double-decode of a racing miss); slices do not contend because
-  /// each slice owns its own shard. Lock order is strictly cache_mu_ ->
-  /// store mu_ (BlockStore never calls back into shards), so the
-  /// nesting cannot invert.
   std::atomic<uint64_t> blocks_decoded_{0};
-  mutable common::Mutex cache_mu_{common::LockRank::kShardDecodeCache};
-  std::map<BlockId, std::shared_ptr<const ColumnVector>> decode_cache_
-      SDW_GUARDED_BY(cache_mu_);
-  std::vector<BlockId> cache_order_ SDW_GUARDED_BY(cache_mu_);
 };
 
 }  // namespace sdw::storage

@@ -432,8 +432,10 @@ TEST(ClusterTest, VacuumRestoresSortOrderAcrossRuns) {
   auto count_decodes = [&] {
     shard = *cluster.shard(0, "fact");
     shard->ResetCounters();
-    for (const auto& range : shard->CandidateRanges({pred})) {
-      SDW_CHECK(shard->ReadRange({1}, range).ok());
+    const storage::ShardSnapshot version = shard->Snapshot();
+    storage::ReadCursor cursor;  // as a scan reads: shared blocks once
+    for (const auto& range : shard->CandidateRanges(*version, {pred})) {
+      SDW_CHECK(shard->ReadRange(*version, {1}, range, &cursor).ok());
     }
     return shard->blocks_decoded();
   };

@@ -392,7 +392,7 @@ TEST(RowExecutorTest, MatchesVectorizedPipeline) {
   auto row_collected = CollectRows(
       row_pipe.get(), {TypeId::kInt64, TypeId::kInt64, TypeId::kDouble});
   ASSERT_TRUE(row_collected.ok());
-  // Row groups come back in rendered-key order; normalize to numeric.
+  // Normalize both outputs to key order before comparing.
   std::vector<Batch> row_batches;
   auto row_types = row_collected->Types();
   row_batches.push_back(std::move(*row_collected));

@@ -1,11 +1,12 @@
 // Tests for the performance fast paths: selection-vector filtering,
-// the typed aggregation and join kernels, decode caching, bulk
+// the typed aggregation and join kernels, the scan's read cursor, bulk
 // AppendRange and the lane-wrapping constructors. Each fast path must
 // be behaviourally identical to the generic path or interpreted oracle
 // it shortcuts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -256,7 +257,7 @@ exec::Batch CollectOrDie(exec::OperatorPtr op) {
 }
 
 // Orders a result by its leading `keys` columns so outputs whose group
-// order differs (RowAggregate emits in rendered-key order) compare.
+// order differs (partial -> final regroups in slice order) compare.
 exec::Batch SortedByKeys(exec::Batch batch, size_t keys) {
   std::vector<exec::SortKey> order;
   for (size_t k = 0; k < keys; ++k) order.push_back({static_cast<int>(k)});
@@ -370,22 +371,33 @@ std::vector<exec::AggSpec> AllAggs() {
           {AggFn::kApproxDistinct, 1},  {AggFn::kApproxDistinct, 3}};
 }
 
+// DOUBLE group keys: values that agree to 6 significant digits, the
+// extremes, and both signed zeros (one group, as the compiled engine
+// groups them).
+constexpr double kDoubleKeys[12] = {
+    0.1234561, 0.1234562, -0.0,   0.0,     -2.0,    1.0 / 3,
+    1e-300,    1e300,     -1e300, 2.5e-7,  2.5e-7 * (1 + 1e-12), 123456.75};
+
 // Columns: key (of `key_type`), int lane, double lane, string lane. A
-// `null_rate` share of keys and of each lane is NULL. Doubles are
+// `null_rate` share of keys and of each lane is NULL. Lane doubles are
 // multiples of 0.25 so sums are exact in any association (partial ->
-// final regroups them) and render distinctly in RowAggregate's keys.
+// final regroups them). DOUBLE keys come from kDoubleKeys; each batch
+// starts with -0.0, so the zero group's first-seen key is -0.0 on every
+// slice and the merged key's sign does not depend on the dealing.
 exec::Batch OracleBatch(TypeId key_type, size_t n, Rng* rng,
                         double key_null_rate, double lane_null_rate) {
   exec::Batch b = exec::MakeBatch(
       {key_type, TypeId::kInt64, TypeId::kDouble, TypeId::kString});
   for (size_t i = 0; i < n; ++i) {
     const int64_t k = rng->UniformRange(0, 11);
-    if (rng->Bernoulli(key_null_rate)) {
+    if (key_type == TypeId::kDouble && i == 0) {
+      b.columns[0].AppendDouble(-0.0);
+    } else if (rng->Bernoulli(key_null_rate)) {
       b.columns[0].AppendNull();
     } else if (key_type == TypeId::kString) {
       b.columns[0].AppendString("key-" + std::to_string(k));
     } else if (key_type == TypeId::kDouble) {
-      b.columns[0].AppendDouble(static_cast<double>(k) * 0.5 - 2.0);
+      b.columns[0].AppendDouble(kDoubleKeys[k]);
     } else if (key_type == TypeId::kBool) {
       b.columns[0].AppendInt(k % 2);
     } else {
@@ -423,6 +435,34 @@ TEST(AggOracleTest, EveryKeyTypeWithNullKeysAndLanes) {
     const std::string context = std::string("key ") + TypeName(key_type);
     ExpectMatchesOracle(batches, types, {0}, AllAggs(), context);
     ExpectMatchesOracle(batches, types, {}, AllAggs(), context + " global");
+  }
+}
+
+TEST(AggOracleTest, DoubleKeysGroupByExactValue) {
+  // Keys equal to 6 significant digits stay apart; -0.0 and 0.0 share
+  // a group whose key is the first one seen.
+  for (bool negative_first : {true, false}) {
+    const double zero = negative_first ? -0.0 : 0.0;
+    exec::Batch b = exec::MakeBatch({TypeId::kDouble});
+    for (double d : {0.1234561, zero, 0.1234562, -zero, 0.1234561, zero}) {
+      b.columns[0].AppendDouble(d);
+    }
+    const std::vector<exec::AggSpec> aggs = {{exec::AggFn::kCount, -1}};
+    std::vector<exec::Batch> one;
+    one.push_back(std::move(b));
+    auto row_pipe = exec::RowAggregate(
+        std::make_unique<BatchRows>(std::move(one)), {0}, aggs);
+    auto out = exec::CollectRows(row_pipe.get(),
+                                 {TypeId::kDouble, TypeId::kInt64});
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->num_rows(), 3u);
+    EXPECT_EQ(out->columns[0].DoubleAt(0), 0.1234561);
+    EXPECT_EQ(out->columns[1].IntAt(0), 2);
+    EXPECT_EQ(out->columns[0].DoubleAt(1), 0.0);
+    EXPECT_EQ(std::signbit(out->columns[0].DoubleAt(1)), negative_first);
+    EXPECT_EQ(out->columns[1].IntAt(1), 3);
+    EXPECT_EQ(out->columns[0].DoubleAt(2), 0.1234562);
+    EXPECT_EQ(out->columns[1].IntAt(2), 1);
   }
 }
 
@@ -677,69 +717,127 @@ TEST(HashJoinOrderTest, DuplicateBuildKeysMatchInPinnedOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Decode cache
+// Read cursor
 // ---------------------------------------------------------------------------
 
-TEST(DecodeCacheTest, RepeatReadsDoNotRecount) {
+// A shard of `rows` rows, columns (int a = i, string s = "v<i>"), in
+// blocks of `rows_per_block`.
+void FillShard(storage::TableShard* shard, int rows) {
+  ColumnVector a(TypeId::kInt64);
+  ColumnVector s(TypeId::kString);
+  for (int i = 0; i < rows; ++i) {
+    a.AppendInt(i);
+    s.AppendString("v" + std::to_string(i));
+  }
+  std::vector<ColumnVector> run;
+  run.push_back(std::move(a));
+  run.push_back(std::move(s));
+  SDW_CHECK_OK(shard->Append(run));
+}
+
+TEST(ReadCursorTest, CursorDecodesEachBlockOnce) {
   storage::BlockStore store;
-  TableSchema schema("t", {{"a", TypeId::kInt64}});
+  TableSchema schema("t", {{"a", TypeId::kInt64}, {"s", TypeId::kString}});
   storage::StorageOptions options;
   options.max_rows_per_block = 100;
   storage::TableShard shard(schema, options, &store);
-  ColumnVector a(TypeId::kInt64);
-  for (int i = 0; i < 1000; ++i) a.AppendInt(i);
-  std::vector<ColumnVector> run;
-  run.push_back(std::move(a));
-  ASSERT_TRUE(shard.Append(run).ok());
+  FillShard(&shard, 1000);
+  const storage::ShardSnapshot version = shard.Snapshot();
 
+  // 30-row batches straddle block boundaries: each of the 2 x 10
+  // blocks is decoded once however many batches it spans.
   shard.ResetCounters();
-  ASSERT_TRUE(shard.ReadRange({0}, {0, 100}).ok());
-  EXPECT_EQ(shard.blocks_decoded(), 1u);
-  // Same block again: served from cache.
-  ASSERT_TRUE(shard.ReadRange({0}, {0, 100}).ok());
-  EXPECT_EQ(shard.blocks_decoded(), 1u);
-  ASSERT_TRUE(shard.ReadRange({0}, {50, 150}).ok());
-  EXPECT_EQ(shard.blocks_decoded(), 2u);  // only block 2 was new
-  // Reset clears the cache.
-  shard.ResetCounters();
-  ASSERT_TRUE(shard.ReadRange({0}, {0, 100}).ok());
-  EXPECT_EQ(shard.blocks_decoded(), 1u);
+  storage::ReadCursor cursor;
+  for (uint64_t begin = 0; begin < 1000; begin += 30) {
+    const uint64_t end = std::min<uint64_t>(1000, begin + 30);
+    auto cols = shard.ReadRange(*version, {0, 1}, {begin, end}, &cursor);
+    ASSERT_TRUE(cols.ok()) << cols.status();
+    for (uint64_t r = begin; r < end; ++r) {
+      ASSERT_EQ((*cols)[0].IntAt(r - begin), static_cast<int64_t>(r));
+      ASSERT_EQ((*cols)[1].StringAt(r - begin), "v" + std::to_string(r));
+    }
+  }
+  EXPECT_EQ(shard.blocks_decoded(), 20u);
+  // The last block is still in the cursor: re-reading it decodes nothing.
+  ASSERT_TRUE(shard.ReadRange(*version, {0, 1}, {950, 1000}, &cursor).ok());
+  EXPECT_EQ(shard.blocks_decoded(), 20u);
 }
 
-TEST(DecodeCacheTest, EvictionKeepsResultsCorrect) {
+TEST(ReadCursorTest, CallWithoutCursorDecodesPerCall) {
   storage::BlockStore store;
-  TableSchema schema("t", {{"a", TypeId::kInt64}});
+  TableSchema schema("t", {{"a", TypeId::kInt64}, {"s", TypeId::kString}});
   storage::StorageOptions options;
-  options.max_rows_per_block = 10;  // 100 blocks > cache capacity (64)
+  options.max_rows_per_block = 100;
   storage::TableShard shard(schema, options, &store);
-  ColumnVector a(TypeId::kInt64);
-  for (int i = 0; i < 1000; ++i) a.AppendInt(i);
-  std::vector<ColumnVector> run;
-  run.push_back(std::move(a));
-  ASSERT_TRUE(shard.Append(run).ok());
-  // Two full passes: eviction churns, data stays right.
-  for (int pass = 0; pass < 2; ++pass) {
-    auto cols = shard.ReadAll({0});
-    ASSERT_TRUE(cols.ok());
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_EQ((*cols)[0].IntAt(i), i);
+  FillShard(&shard, 1000);
+
+  shard.ResetCounters();
+  ASSERT_TRUE(shard.ReadRange({0}, {0, 100}).ok());
+  EXPECT_EQ(shard.blocks_decoded(), 1u);
+  ASSERT_TRUE(shard.ReadRange({0}, {0, 100}).ok());
+  EXPECT_EQ(shard.blocks_decoded(), 2u);
+  ASSERT_TRUE(shard.ReadRange({0}, {50, 150}).ok());
+  EXPECT_EQ(shard.blocks_decoded(), 4u);  // both blocks decoded anew
+  shard.ResetCounters();
+  EXPECT_EQ(shard.blocks_decoded(), 0u);
+}
+
+TEST(ReadCursorTest, OutOfOrderReadsAndColumnChangesStayCorrect) {
+  storage::BlockStore store;
+  TableSchema schema("t", {{"a", TypeId::kInt64}, {"s", TypeId::kString}});
+  storage::StorageOptions options;
+  options.max_rows_per_block = 10;
+  storage::TableShard shard(schema, options, &store);
+  FillShard(&shard, 1000);
+  const storage::ShardSnapshot version = shard.Snapshot();
+  // A cursor reuses a block only on an exact id match: jumping back,
+  // or swapping the column list under it, re-decodes but never serves
+  // another block's values.
+  storage::ReadCursor cursor;
+  const std::vector<std::pair<std::vector<int>, storage::RowRange>> reads = {
+      {{0}, {500, 520}}, {{0}, {0, 15}},    {{1}, {5, 12}},
+      {{1, 0}, {990, 1000}}, {{0, 1}, {985, 995}}, {{0}, {0, 1000}}};
+  for (const auto& [columns, range] : reads) {
+    auto cols = shard.ReadRange(*version, columns, range, &cursor);
+    ASSERT_TRUE(cols.ok()) << cols.status();
+    for (size_t i = 0; i < columns.size(); ++i) {
+      for (uint64_t r = range.begin; r < range.end; ++r) {
+        const Datum want = columns[i] == 0
+                               ? Datum::Int64(static_cast<int64_t>(r))
+                               : Datum::String("v" + std::to_string(r));
+        ASSERT_EQ((*cols)[i].DatumAt(r - range.begin).Compare(want), 0)
+            << "column " << columns[i] << " row " << r;
+      }
     }
   }
 }
 
-TEST(DecodeCacheTest, CorruptionStillDetectedOnFirstRead) {
+TEST(ReadCursorTest, CorruptionStillDetectedOnFirstRead) {
   storage::BlockStore store;
-  TableSchema schema("t", {{"a", TypeId::kInt64}});
+  TableSchema schema("t", {{"a", TypeId::kInt64}, {"s", TypeId::kString}});
   storage::StorageOptions options;
   options.max_rows_per_block = 100;
   storage::TableShard shard(schema, options, &store);
-  ColumnVector a(TypeId::kInt64);
-  for (int i = 0; i < 100; ++i) a.AppendInt(i);
-  std::vector<ColumnVector> run;
-  run.push_back(std::move(a));
-  ASSERT_TRUE(shard.Append(run).ok());
-  store.CorruptForTest(shard.chain(0)[0].id);
-  EXPECT_EQ(shard.ReadAll({0}).status().code(), StatusCode::kCorruption);
+  FillShard(&shard, 200);
+  const storage::ShardSnapshot version = shard.Snapshot();
+  store.CorruptForTest(shard.chain(0)[1].id);
+
+  storage::ReadCursor cursor;
+  ASSERT_TRUE(shard.ReadRange(*version, {0}, {0, 100}, &cursor).ok());
+  EXPECT_EQ(shard.ReadRange(*version, {0}, {100, 150}, &cursor)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  // The store dropped the bad copy (a replica would mask it), and the
+  // failed read left nothing in the cursor: the retry fails too, and
+  // the healthy block still reads.
+  EXPECT_EQ(shard.ReadRange(*version, {0}, {150, 200}, &cursor)
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  auto first = shard.ReadRange(*version, {0}, {10, 20}, &cursor);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ((*first)[0].IntAt(0), 10);
 }
 
 // ---------------------------------------------------------------------------

@@ -82,20 +82,20 @@ TEST_F(LockRankTest, AscendingOrderIsClean) {
 
 TEST_F(LockRankTest, InversionIsDetectedAndReportsBothStacks) {
   Mutex store{LockRank::kBlockStore};
-  Mutex cache{LockRank::kShardDecodeCache};
+  Mutex head{LockRank::kShardHead};
   {
     MutexLock a(store);
-    // kShardDecodeCache (300) under kBlockStore (550): the reverse of
-    // the documented DecodeBlock exception, i.e. a real inversion.
-    MutexLock b(cache);
+    // kShardHead (450) under kBlockStore (550): the reverse of GC's
+    // head_mu_ -> store nesting, i.e. a real inversion.
+    MutexLock b(head);
   }
   ASSERT_EQ(captured_.size(), 1u);
   const LockRankViolation& v = captured_[0];
-  EXPECT_EQ(v.acquired, LockRank::kShardDecodeCache);
+  EXPECT_EQ(v.acquired, LockRank::kShardHead);
   EXPECT_EQ(v.held, LockRank::kBlockStore);
   // The report names both ranks and carries both acquisition stacks.
   EXPECT_NE(v.report.find("lock-rank violation"), std::string::npos);
-  EXPECT_NE(v.report.find("kShardDecodeCache"), std::string::npos);
+  EXPECT_NE(v.report.find("kShardHead"), std::string::npos);
   EXPECT_NE(v.report.find("kBlockStore"), std::string::npos);
   EXPECT_NE(v.report.find("stack acquiring"), std::string::npos);
   EXPECT_NE(v.report.find("stack that acquired the held"), std::string::npos);
@@ -121,15 +121,15 @@ TEST_F(LockRankTest, ReportModeDoesNotCascadeOnRelease) {
   // consistent: after the inversion both locks release cleanly and a
   // fresh well-ordered sequence reports nothing new.
   Mutex store{LockRank::kBlockStore};
-  Mutex cache{LockRank::kShardDecodeCache};
+  Mutex head{LockRank::kShardHead};
   {
     MutexLock a(store);
-    MutexLock b(cache);
+    MutexLock b(head);
   }
   EXPECT_EQ(internal::HeldRankedLocks(), 0);
   ASSERT_EQ(captured_.size(), 1u);
   {
-    MutexLock b(cache);
+    MutexLock b(head);
     MutexLock a(store);
   }
   EXPECT_EQ(captured_.size(), 1u);  // no new violation
@@ -155,26 +155,26 @@ TEST_F(LockRankTest, TryLockRecordsButSkipsOrderCheck) {
   // try_lock is legal — but once held, the lock still participates in
   // ordering for later blocking acquisitions.
   Mutex store{LockRank::kBlockStore};
-  Mutex cache{LockRank::kShardDecodeCache};
   Mutex head{LockRank::kShardHead};
+  Mutex node{LockRank::kComputeNode};
   MutexLock a(store);
-  ASSERT_TRUE(cache.try_lock());  // inversion, but non-blocking: clean
+  ASSERT_TRUE(head.try_lock());  // inversion, but non-blocking: clean
   EXPECT_TRUE(captured_.empty());
   EXPECT_EQ(internal::HeldRankedLocks(), 2);
   {
-    MutexLock c(head);  // 450 under held 550: real blocking inversion
+    MutexLock c(node);  // 400 under held 550: real blocking inversion
   }
   EXPECT_EQ(captured_.size(), 1u);
-  cache.unlock();
+  head.unlock();
 }
 
 TEST_F(LockRankTest, DisabledValidatorRecordsNothing) {
   EnableLockRankChecks(false);
   Mutex store{LockRank::kBlockStore};
-  Mutex cache{LockRank::kShardDecodeCache};
+  Mutex head{LockRank::kShardHead};
   {
     MutexLock a(store);
-    MutexLock b(cache);  // would be a violation if enabled
+    MutexLock b(head);  // would be a violation if enabled
     EXPECT_EQ(internal::HeldRankedLocks(), 0);
   }
   EXPECT_TRUE(captured_.empty());
@@ -196,10 +196,10 @@ TEST_F(LockRankTest, HeldStacksArePerThread) {
   // A lock held on one thread must not order acquisitions on another:
   // each thread owns its own held-lock stack.
   Mutex store{LockRank::kBlockStore};
-  Mutex cache{LockRank::kShardDecodeCache};
+  Mutex head{LockRank::kShardHead};
   MutexLock a(store);
   std::thread other([&] {
-    MutexLock b(cache);  // clean: this thread holds nothing
+    MutexLock b(head);  // clean: this thread holds nothing
     EXPECT_EQ(internal::HeldRankedLocks(), 1);
   });
   other.join();

@@ -190,6 +190,38 @@ TEST_F(PlannerTest, NonGroupedColumnRejected) {
   EXPECT_FALSE(planner.Plan(q).ok());
 }
 
+TEST_F(PlannerTest, SumAndAvgOverVarcharRejected) {
+  Planner planner(&catalog_);
+  for (LogicalAggFn fn : {LogicalAggFn::kSum, LogicalAggFn::kAvg}) {
+    LogicalQuery q;
+    q.from_table = "clicks";
+    q.select = {{fn, {"", "url"}, ""}};
+    auto p = planner.Plan(q);
+    ASSERT_FALSE(p.ok());
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument)
+        << p.status();
+    // Grouped.
+    q.select = {{LogicalAggFn::kNone, {"", "user_id"}, ""},
+                {fn, {"", "url"}, ""}};
+    q.group_by = {{"", "user_id"}};
+    EXPECT_EQ(planner.Plan(q).status().code(), StatusCode::kInvalidArgument);
+    // A VARCHAR column of the join's build side.
+    q.select = {{fn, {"users", "country"}, ""}};
+    q.group_by.clear();
+    q.join_table = "users";
+    q.join_left = {"clicks", "user_id"};
+    q.join_right = {"users", "id"};
+    EXPECT_EQ(planner.Plan(q).status().code(), StatusCode::kInvalidArgument);
+  }
+  // MIN/MAX/COUNT over VARCHAR stay legal.
+  LogicalQuery q;
+  q.from_table = "clicks";
+  q.select = {{LogicalAggFn::kMin, {"", "url"}, ""},
+              {LogicalAggFn::kMax, {"", "url"}, ""},
+              {LogicalAggFn::kCount, {"", "url"}, ""}};
+  EXPECT_TRUE(planner.Plan(q).ok());
+}
+
 TEST_F(PlannerTest, OrderByAndLimitValidated) {
   LogicalQuery q = SimpleScan();
   q.order_by = {{1, true}};

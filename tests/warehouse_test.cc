@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <map>
+#include <set>
+#include <thread>
+
 #include "common/random.h"
 #include "warehouse/warehouse.h"
 
@@ -270,6 +276,166 @@ TEST_F(WarehouseTest, ResultTableRendering) {
   EXPECT_NE(table.find("hello"), std::string::npos);
   EXPECT_NE(table.find("NULL"), std::string::npos);
   EXPECT_NE(table.find("(2 rows)"), std::string::npos);
+}
+
+// A SELECT's blocks_decoded counts its own scans' work only: each block
+// a scan reads is decoded once (the scan's cursor carries it across
+// batches), so it equals the sum of the query's stl_scan.blocks_read,
+// whatever other sessions run at the same time.
+class ScanAccountingTest : public ::testing::Test {
+ protected:
+  static constexpr int kFactRows = 24000;
+
+  void SetUp() override {
+    WarehouseOptions options = SmallOptions();
+    // 300-row blocks straddle the scans' 4,096-row batches, so a scan
+    // reads some blocks in two batches.
+    options.cluster.storage.max_rows_per_block = 300;
+    options.cache.enable_result_cache = false;
+    options.planner.broadcast_row_threshold = 500;
+    options.wlm.concurrency_slots = 4;
+    wh_ = std::make_unique<Warehouse>(options);
+    Load("fact", "k BIGINT, day BIGINT, v BIGINT, tag VARCHAR",
+         "DISTKEY(k) SORTKEY(day)", kFactRows, [](int i) {
+           return std::to_string(i % 97) + "," + std::to_string(i / 40) + "," +
+                  std::to_string(i % 1000) + ",t" + std::to_string(i % 13);
+         });
+    Load("dim", "id BIGINT, name VARCHAR", "DISTKEY(id)", 97, [](int i) {
+      return std::to_string(i) + ",n" + std::to_string(i % 5);
+    });
+    Load("small", "id BIGINT, label VARCHAR", "", 200, [](int i) {
+      return std::to_string(i * 5) + ",l" + std::to_string(i % 3);
+    });
+    Load("wide", "id BIGINT, w BIGINT", "", 2000, [](int i) {
+      return std::to_string(i) + "," + std::to_string(i * 7);
+    });
+  }
+
+  void Load(const std::string& table, const std::string& columns,
+            const std::string& attributes, int rows,
+            const std::function<std::string(int)>& row) {
+    ASSERT_TRUE(wh_->Execute("CREATE TABLE " + table + " (" + columns + ") " +
+                             attributes)
+                    .ok());
+    std::string csv;
+    for (int i = 0; i < rows; ++i) csv += row(i) + "\n";
+    ASSERT_TRUE(wh_->s3()
+                    ->region("us-east-1")
+                    ->PutObject("bkt/" + table + "/part-0",
+                                Bytes(csv.begin(), csv.end()))
+                    .ok());
+    ASSERT_TRUE(
+        wh_->Execute("COPY " + table + " FROM 's3://bkt/" + table + "/'").ok());
+    ASSERT_TRUE(wh_->Execute("ANALYZE " + table).ok());
+  }
+
+  // Filter, sort-key range, and the three join strategies.
+  static std::vector<std::pair<std::string, std::string>> Queries() {
+    return {
+        {"", "SELECT COUNT(*) AS n, SUM(v) AS s FROM fact WHERE v < 300"},
+        {"", "SELECT COUNT(*) AS n, MAX(tag) AS t FROM fact "
+             "WHERE day >= 100 AND day <= 250"},
+        {"CO-LOCATED", "SELECT name, COUNT(*) AS n FROM fact JOIN dim "
+                       "ON fact.k = dim.id GROUP BY name ORDER BY name"},
+        {"BROADCAST", "SELECT label, SUM(v) AS s FROM fact JOIN small "
+                      "ON fact.v = small.id GROUP BY label ORDER BY label"},
+        {"SHUFFLE", "SELECT COUNT(*) AS n, SUM(w) AS s FROM fact JOIN wide "
+                    "ON fact.v = wide.id WHERE day < 400"},
+    };
+  }
+
+  // blocks_decoded against the query's own scan profiles (what stl_scan
+  // records); returns false on a failed statement.
+  static bool RunAndCheck(Warehouse::Session session, const std::string& sql,
+                          std::atomic<int>* mismatches) {
+    auto r = session.Execute(sql);
+    if (!r.ok()) return false;
+    uint64_t blocks_read = 0;
+    for (const cluster::ScanProfile& scan : r->exec_stats.scans) {
+      blocks_read += scan.blocks_read;
+    }
+    if (blocks_read == 0 || r->exec_stats.blocks_decoded != blocks_read) {
+      mismatches->fetch_add(1, std::memory_order_relaxed);
+    }
+    return true;
+  }
+
+  // Cross-checks the system tables: for every logged run of one of
+  // Queries(), stl_query.blocks_decoded equals the sum of that query's
+  // stl_scan.blocks_read. Returns the number of runs checked.
+  size_t CheckSystemTables() {
+    auto scans = wh_->Execute("SELECT query_id, blocks_read FROM stl_scan");
+    auto queries =
+        wh_->Execute("SELECT query_id, sql_text, blocks_decoded FROM stl_query");
+    EXPECT_TRUE(scans.ok() && queries.ok());
+    if (!scans.ok() || !queries.ok()) return 0;
+    std::map<int64_t, int64_t> read;
+    for (size_t i = 0; i < scans->rows.num_rows(); ++i) {
+      read[scans->rows.columns[0].IntAt(i)] += scans->rows.columns[1].IntAt(i);
+    }
+    std::set<std::string> texts;
+    for (const auto& [strategy, sql] : Queries()) texts.insert(sql);
+    size_t checked = 0;
+    for (size_t i = 0; i < queries->rows.num_rows(); ++i) {
+      const std::string sql = queries->rows.columns[1].StringAt(i);
+      if (texts.count(sql) == 0) continue;
+      const int64_t id = queries->rows.columns[0].IntAt(i);
+      EXPECT_EQ(queries->rows.columns[2].IntAt(i), read[id])
+          << "query " << id << ": " << sql;
+      ++checked;
+    }
+    return checked;
+  }
+
+  std::unique_ptr<Warehouse> wh_;
+};
+
+TEST_F(ScanAccountingTest, BlocksDecodedEqualsStlScanBlocksRead) {
+  auto count = wh_->Execute("SELECT COUNT(*) AS n FROM fact");
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(count->rows.columns[0].IntAt(0), kFactRows);
+  // Each join query runs the strategy it is named for.
+  for (const auto& [strategy, sql] : Queries()) {
+    if (strategy.empty()) continue;
+    auto explain = wh_->Execute("EXPLAIN " + sql);
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    EXPECT_NE(explain->message.find(strategy), std::string::npos)
+        << sql << "\n" << explain->message;
+  }
+  std::atomic<int> mismatches{0};
+  for (const auto& [strategy, sql] : Queries()) {
+    ASSERT_TRUE(RunAndCheck(wh_->CreateSession(), sql, &mismatches)) << sql;
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(CheckSystemTables(), Queries().size());
+}
+
+TEST_F(ScanAccountingTest, BlocksDecodedHoldsUnderConcurrentSessions) {
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::thread> clients;
+    for (int s = 0; s < kSessions; ++s) {
+      Warehouse::Session session = wh_->CreateSession();
+      clients.emplace_back([&, s, session] {
+        const auto queries = Queries();
+        for (int round = 0; round < kRounds; ++round) {
+          // Sessions start at different queries, so different shapes
+          // overlap.
+          for (size_t q = 0; q < queries.size(); ++q) {
+            const std::string& sql = queries[(q + s) % queries.size()].second;
+            if (!RunAndCheck(session, sql, &mismatches)) failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(CheckSystemTables(), kSessions * kRounds * Queries().size());
 }
 
 }  // namespace
